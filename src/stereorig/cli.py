@@ -8,43 +8,36 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .cloud import accuracy_report, export_ply, merge
+from .cloud import _fmt, export_ply, format_report
 from .config import ConfigError, RunConfig, build_config, load_config, manifest_lines, parse_config
-from .geometry import depth_resolution_mm, horizontal_fov_deg
+from .geometry import horizontal_fov_deg
 from .mechanics import (
     Axis,
+    CalibrationError,
     Direction,
     PwmCommand,
-    RigState,
     calibrate_scale,
     pulses_for_rotation,
     pwm_timing,
 )
-from .pgm import image_to_pgm_bytes, read_pgm, write_pgm
-from .planner import format_shot_log, rotation_schedule, run_scan
-from .scene import RangeReading, RigPose, load_scene
-from .vision import (
-    back_project,
-    compensation_shift,
-    depth_map_from_disparity,
-    match_correlation,
-)
+from .pgm import PgmError, image_to_pgm_bytes, read_pgm, write_pgm
+from .pipeline import scan
+from .planner import format_shot_log, rotation_schedule
+from .scene import SceneParseError, load_scene
+from .vision import depth_map_from_disparity, match_correlation
 
 __all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
 
 
 def _seed_override() -> int | None:
@@ -57,82 +50,20 @@ def _seed_override() -> int | None:
         raise ConfigError(f"STEREORIG_SEED must be an integer, got {raw!r}") from None
 
 
-def _auto_match_radius(scene, shots, config: RunConfig, visible: np.ndarray) -> float:
-    """3x the depth resolution at the median visible distance and mean baseline."""
-    targets = scene.xyz[visible] if visible.any() else scene.xyz
-    median_distance = float(np.median(np.linalg.norm(targets, axis=1)))
-    mean_baseline = float(np.mean([s.baseline_mm for s in shots])) if shots else 100.0
-    return 3.0 * depth_resolution_mm(median_distance, mean_baseline, config.intrinsics)
-
-
 def cmd_scan(config: RunConfig, values: dict, out_dir: Path) -> int:
     if config.scene_path is None:
         raise ConfigError("scan requires a 'scene' entry in the config")
     scene = load_scene(config.scene_path.read_text(encoding="utf-8"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    pairs, shots, cloud, report = scan(config, scene)
 
-    start = min(
-        max(config.initial_baseline_mm, config.policy.baseline_min_mm),
-        config.policy.baseline_max_mm,
-    )
-    rig = RigState(
-        baseline_mm=start,
-        baseline_min_mm=config.policy.baseline_min_mm,
-        baseline_max_mm=config.policy.baseline_max_mm,
-    )
-    pairs, shots = run_scan(
-        scene,
-        config.policy,
-        config.calibration,
-        config.intrinsics,
-        initial_state=rig,
-        blob_radius_px=config.blob_radius_px,
-        cone_half_angle_deg=config.cone_half_angle_deg,
-        with_error=config.with_error,
-    )
-
-    fragments = []
-    visible = np.zeros(len(scene), dtype=bool)
-    for i, (pair, shot) in enumerate(zip(pairs, shots)):
+    for i, pair in enumerate(pairs):
         (out_dir / f"shot_{i}_L.pgm").write_bytes(image_to_pgm_bytes(pair.left))
         (out_dir / f"shot_{i}_R.pgm").write_bytes(image_to_pgm_bytes(pair.right))
-        shift = compensation_shift(
-            RangeReading(shot.range_mm, config.cone_half_angle_deg),
-            pair.baseline_mm,
-            config.intrinsics,
-        )
-        disp = match_correlation(
-            pair.left,
-            pair.right,
-            shift_px=0 if shift is None else shift,
-            window_px=config.vision.window_px,
-            search_range_px=config.vision.search_range_px,
-            min_score=config.vision.min_score,
-            min_texture=config.vision.min_texture,
-            subpixel=config.vision.subpixel,
-        )
-        depth = depth_map_from_disparity(
-            disp, pair.baseline_mm, config.intrinsics, heading_deg=pair.heading_deg, heading_index=i
-        )
-        fragments.append(back_project(depth, RigPose(pair.heading_deg), intensities=pair.left))
-        visible |= pair.visible_mask
-
-    cloud = merge(fragments, voxel_mm=config.voxel_mm if config.voxel_mm > 0 else None)
-    radius = config.match_radius_mm or _auto_match_radius(scene, shots, config, visible)
-    report = accuracy_report(cloud, scene, radius, visible_mask=visible)
-
     (out_dir / "shots.log").write_text(format_shot_log(shots), encoding="utf-8")
     (out_dir / "cloud.ply").write_bytes(export_ply(cloud))
     (out_dir / "report.txt").write_text(
-        f"recall {_fmt(report.recall)}\n"
-        f"rmse_mm {_fmt(report.rmse_mm)}\n"
-        f"median_error_mm {_fmt(report.median_error_mm)}\n"
-        f"match_radius_mm {_fmt(report.match_radius_mm)}\n"
-        f"cloud_points {len(cloud)}\n"
-        f"scene_points {len(scene)}\n"
-        f"visible_points {int(visible.sum())}\n"
-        f"recovered_points {report.n_recovered}\n",
-        encoding="utf-8",
+        format_report(report, len(cloud), len(scene)), encoding="utf-8"
     )
     (out_dir / "manifest.txt").write_text(manifest_lines(values), encoding="utf-8")
     print(f"scan complete: {len(pairs)} captures, {len(cloud)} points -> {out_dir}")
@@ -202,16 +133,8 @@ def cmd_match(args, config: RunConfig) -> int:
         )
     left = left_raw.astype(float) / float(np.iinfo(left_raw.dtype).max)
     right = right_raw.astype(float) / float(np.iinfo(right_raw.dtype).max)
-    disp = match_correlation(
-        left,
-        right,
-        shift_px=args.shift,
-        window_px=args.window,
-        search_range_px=args.search,
-        min_score=config.vision.min_score,
-        min_texture=config.vision.min_texture,
-        subpixel=config.vision.subpixel,
-    )
+    vision = dataclasses.replace(config.vision, window_px=args.window, search_range_px=args.search)
+    disp = match_correlation(left, right, args.shift, **dataclasses.asdict(vision))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -295,7 +218,14 @@ def main(argv=None) -> int:
                 config, _ = _default_config()
             return cmd_match(args, config)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, ValueError, OSError) as exc:
+    except (
+        ConfigError,
+        SceneParseError,
+        PgmError,
+        CalibrationError,
+        UnicodeDecodeError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

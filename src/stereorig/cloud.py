@@ -8,7 +8,7 @@ byte-identical files on every platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ __all__ = [
     "AccuracyReport",
     "merge",
     "accuracy_report",
+    "format_report",
     "export_ply",
     "import_ply",
 ]
@@ -40,7 +41,6 @@ class PointCloud:
     xyz: np.ndarray
     intensity: np.ndarray
     heading_index: np.ndarray
-    _bounds: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.xyz = np.asarray(self.xyz, dtype=float).reshape(-1, 3)
@@ -58,16 +58,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned bounding box (min corner, max corner), cached."""
-        if self._bounds is None:
-            if len(self) == 0:
-                zero = np.zeros(3)
-                self._bounds = (zero, zero.copy())
-            else:
-                self._bounds = (self.xyz.min(axis=0), self.xyz.max(axis=0))
-        return self._bounds
 
 
 @dataclass(frozen=True)
@@ -161,6 +151,20 @@ def accuracy_report(
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
+
+
+def format_report(report: AccuracyReport, cloud_points: int, scene_points: int) -> str:
+    """The scan's ``report.txt``: one ``key value`` line per metric."""
+    return (
+        f"recall {_fmt(report.recall)}\n"
+        f"rmse_mm {_fmt(report.rmse_mm)}\n"
+        f"median_error_mm {_fmt(report.median_error_mm)}\n"
+        f"match_radius_mm {_fmt(report.match_radius_mm)}\n"
+        f"cloud_points {cloud_points}\n"
+        f"scene_points {scene_points}\n"
+        f"visible_points {report.n_candidates}\n"
+        f"recovered_points {report.n_recovered}\n"
+    )
 
 
 def export_ply(cloud: PointCloud) -> bytes:

@@ -16,6 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
+from .cloud import _fmt
 from .geometry import CameraIntrinsics, horizontal_fov_deg
 from .mechanics import (
     ActuationCalibration,
@@ -89,8 +90,8 @@ class CapturePolicy:
             raise ValueError(
                 f"overlap_fraction must lie in [0, 0.9], got {self.overlap_fraction!r}"
             )
-        if not self.baseline_min_mm < self.baseline_max_mm:
-            raise ValueError("baseline_min_mm must be < baseline_max_mm")
+        if not 0.0 < self.baseline_min_mm < self.baseline_max_mm:
+            raise ValueError("baseline limits must satisfy 0 < baseline_min_mm < baseline_max_mm")
 
 
 class ScanState(enum.Enum):
@@ -261,22 +262,21 @@ def run_scan(
     policy: CapturePolicy,
     cal: ActuationCalibration,
     intrinsics: CameraIntrinsics,
-    initial_state: RigState | None = None,
+    initial_baseline_mm: float = 100.0,
     blob_radius_px: float = 2.0,
     cone_half_angle_deg: float = 20.0,
     with_error: bool = False,
 ) -> tuple[list[StereoPair], list[ShotRecord]]:
-    """Drive the controller to Done; returns captures in heading order."""
+    """Drive the controller to Done; returns captures in heading order.
+
+    The rig starts at ``initial_baseline_mm`` clamped to the policy limits.
+    """
     controller = new_controller(policy, intrinsics)
-    if initial_state is not None:
-        rig = initial_state
-    else:
-        start = min(max(100.0, policy.baseline_min_mm), policy.baseline_max_mm)
-        rig = RigState(
-            baseline_mm=start,
-            baseline_min_mm=policy.baseline_min_mm,
-            baseline_max_mm=policy.baseline_max_mm,
-        )
+    rig = RigState(
+        baseline_mm=min(max(initial_baseline_mm, policy.baseline_min_mm), policy.baseline_max_mm),
+        baseline_min_mm=policy.baseline_min_mm,
+        baseline_max_mm=policy.baseline_max_mm,
+    )
     pairs: list[StereoPair] = []
     while controller.state is not ScanState.DONE:
         controller, rig, artifact = step(
@@ -292,10 +292,6 @@ def run_scan(
         if artifact is not None:
             pairs.append(artifact)
     return pairs, list(controller.shots)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
 
 
 def format_shot_log(shots) -> str:

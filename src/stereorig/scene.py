@@ -51,8 +51,8 @@ _ZERO_SEED_SUBSTITUTE = 0x9E3779B97F4A7C15  # xorshift state must be nonzero
 class SceneParseError(ValueError):
     """Scene text that does not conform to the directive format."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: int | None, message: str):
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -203,6 +203,8 @@ def load_scene(text: str) -> Scene:
                 raise SceneParseError(lineno, "coordinates and intensity must be finite")
             if not 0.0 <= values[3] <= 1.0:
                 raise SceneParseError(lineno, f"intensity {values[3]} outside [0, 1]")
+            if not any(values[:3]):
+                raise SceneParseError(lineno, "a point cannot sit at the rig center")
             rows.append(values)
         elif tokens[0] == "room":
             if len(tokens) != 7 or tokens[5] != "seed":
@@ -221,7 +223,7 @@ def load_scene(text: str) -> Scene:
         else:
             raise SceneParseError(lineno, f"unknown directive {tokens[0]!r}")
     if not rows:
-        raise ValueError("scene has no points")
+        raise SceneParseError(None, "scene has no points")
     return Scene(np.array(rows, dtype=float))
 
 

@@ -35,16 +35,10 @@ _VAR_EPS = 1e-12  # windows with (n * variance) below this cannot be scored
 
 @dataclass(eq=False)
 class DisparityMap:
-    """Per-pixel disparity (NaN where unmatched) plus the parameters used."""
+    """Per-pixel disparity (NaN where unmatched) and the window that scored it."""
 
     disparity: np.ndarray
-    shift_px: int
     window_px: int
-    search_range_px: int
-    min_score: float
-    min_texture: float
-    subpixel: bool
-    shifted_panel: str = "right"
 
     @property
     def matched_count(self) -> int:
@@ -165,22 +159,15 @@ def match_correlation(
     half = window_px // 2
     n = float(window_px * window_px)
     disparity = np.full((h, w), np.nan)
-    params = dict(
-        shift_px=shift_px,
-        window_px=window_px,
-        search_range_px=search_range_px,
-        min_score=min_score,
-        min_texture=min_texture,
-        subpixel=subpixel,
-    )
     # candidate residuals, closest-to-zero first, negative before positive
     deltas = [
         d
         for d in sorted(range(-search_range_px, search_range_px + 1), key=lambda d: (abs(d), d))
         if shift_px + d >= 0
     ]
-    if not deltas or h < window_px or w < window_px:
-        return DisparityMap(disparity=disparity, **params)
+    # a compensation shift of a whole width leaves no right-panel content to score
+    if not deltas or h < window_px or w < window_px or abs(shift_px) >= w:
+        return DisparityMap(disparity, window_px)
 
     shifted = shift_image(right, shift_px)
     sum_l = _window_sums(left, half)
@@ -195,16 +182,16 @@ def match_correlation(
     n_cand = max(deltas) - lo + 1
     scores = np.full((n_cand, h, w), -np.inf)
     for d in deltas:
+        # the candidate window must come entirely from real shifted-panel columns
+        x_lo, x_hi = max(half, half + d), min(w - 1 - half, w - 1 - half + d)
+        if x_lo > x_hi:
+            continue
         cand = shift_image(shifted, d) if d != 0 else shifted
         sum_r = _window_sums(cand, half)
         var_r_n = _window_sums(cand * cand, half) - sum_r * sum_r / n
         cov = _window_sums(left * cand, half) - sum_l * sum_r / n
         denom_sq = var_l_n * var_r_n
         ok = interior & (var_r_n > _VAR_EPS) & (var_l_n > _VAR_EPS)
-        # the candidate window must come entirely from real shifted-panel columns
-        x_lo, x_hi = max(half, half + d), min(w - 1 - half, w - 1 - half + d)
-        if x_lo > x_hi:
-            continue
         cols = np.zeros(w, dtype=bool)
         cols[x_lo : x_hi + 1] = True
         ok &= cols[None, :]
@@ -238,7 +225,7 @@ def match_correlation(
         result = result + offs
 
     disparity[matched] = result[matched]
-    return DisparityMap(disparity=disparity, **params)
+    return DisparityMap(disparity, window_px)
 
 
 def depth_map_from_disparity(

@@ -67,6 +67,32 @@ def test_scan_unknown_key_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "config, scene",
+    [
+        ("", "# no points\n"),
+        ("", "p 0 0 0 0.5\n"),
+        ("policy.baseline_min_mm = 0\n", "p 0 0 2000 0.5\n"),
+    ],
+    ids=["empty-scene", "point-at-rig-center", "zero-baseline-min"],
+)
+def test_scan_degenerate_input_exits_2(tmp_path, config, scene):
+    (tmp_path / "run.cfg").write_text("scene = s\n" + config, encoding="utf-8")
+    (tmp_path / "s").write_text(scene, encoding="utf-8")
+    code = main(["scan", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "o")])
+    assert code == 2
+
+
+def test_scan_shift_beyond_image_width_matches_nothing(tmp_path):
+    # a 200 mm baseline on a point 150 mm away predicts a shift wider than the image
+    (tmp_path / "run.cfg").write_text("scene = s\npolicy.baseline_min_mm = 200\n", encoding="utf-8")
+    (tmp_path / "s").write_text("p 0 0 150 0.5\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == 0
+    report = dict(line.split() for line in (out / "report.txt").read_text().splitlines())
+    assert report["cloud_points"] == "0"
+
+
 def test_scan_deterministic_bytes(demo_dir):
     out_a, out_b = demo_dir / "a", demo_dir / "b"
     assert main(["scan", "--config", str(demo_dir / "run.cfg"), "--out", str(out_a)]) == 0
@@ -200,6 +226,15 @@ def test_match_size_mismatch_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--window", "4"), ("--search", "-1")])
+def test_match_bad_vision_params_exit_2(tmp_path, flag, value):
+    img = image_to_pgm_bytes(np.zeros((8, 8)))
+    (tmp_path / "l.pgm").write_bytes(img)
+    (tmp_path / "r.pgm").write_bytes(img)
+    left, right = str(tmp_path / "l.pgm"), str(tmp_path / "r.pgm")
+    assert main(["match", "--left", left, "--right", right, flag, value]) == 2
+
+
 def test_match_corrupt_header_exits_2(tmp_path):
     (tmp_path / "l.pgm").write_bytes(b"P5\nbroken")
     (tmp_path / "r.pgm").write_bytes(image_to_pgm_bytes(np.zeros((8, 8))))
@@ -209,13 +244,14 @@ def test_match_corrupt_header_exits_2(tmp_path):
     assert code == 2
 
 
-def test_internal_failure_exits_3(demo_dir, monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_internal_failure_exits_3(demo_dir, monkeypatch, error):
     import stereorig.cli as cli
 
     def boom(*args, **kwargs):
-        raise RuntimeError("simulated defect")
+        raise error("simulated defect")
 
-    monkeypatch.setattr(cli, "run_scan", boom)
+    monkeypatch.setattr(cli, "scan", boom)
     code = main(["scan", "--config", str(demo_dir / "run.cfg"), "--out", str(demo_dir / "o")])
     assert code == 3
 

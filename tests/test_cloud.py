@@ -118,14 +118,6 @@ def test_export_distinguishes_clouds():
     assert export_ply(a) != export_ply(b)
 
 
-def test_bounds_cached_and_correct():
-    cloud = make_cloud([[0.0, -5.0, 10.0], [2.0, 3.0, -1.0]])
-    lo, hi = cloud.bounds()
-    assert lo.tolist() == [0.0, -5.0, -1.0]
-    assert hi.tolist() == [2.0, 3.0, 10.0]
-    assert cloud.bounds() is cloud.bounds()
-
-
 def test_cloud_validation():
     with pytest.raises(ValueError):
         PointCloud(np.zeros((2, 3)), np.zeros(1), np.zeros(2, dtype=np.int32))

@@ -142,14 +142,16 @@ def test_run_scan_quantized_headings_terminate_at_full_turn():
     assert len(controller.shots) == 9
 
 
-def test_run_scan_sentinel_ranges_hold_default_baseline():
-    # the only point sits beyond the sensor window: every reading is no-return
+@pytest.mark.parametrize("initial, held", [(100.0, 100.0), (10.0, 30.0), (1000.0, 300.0)])
+def test_run_scan_sentinel_ranges_hold_default_baseline(initial, held):
+    # the only point sits beyond the sensor window: every reading is no-return,
+    # so the rig holds its start baseline, clamped to the policy limits
     scene = load_scene("p 0 0 90000 0.5")
-    pairs, shots = run_scan(scene, POLICY, CAL, INTR)
+    pairs, shots = run_scan(scene, POLICY, CAL, INTR, initial_baseline_mm=initial)
     assert len(pairs) == 9
     assert all(s.range_mm is None for s in shots)
-    assert all(s.baseline_mm == 100.0 for s in shots)
-    assert all(s.setpoint_mm == 100.0 for s in shots)
+    assert all(s.baseline_mm == held for s in shots)
+    assert all(s.setpoint_mm == held for s in shots)
 
 
 def test_run_scan_deterministic():

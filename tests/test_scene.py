@@ -60,8 +60,13 @@ def test_load_rejects_unknown_directive():
 
 
 def test_load_rejects_empty_scene():
-    with pytest.raises(ValueError):
+    with pytest.raises(SceneParseError):
         load_scene("# only a comment\n\n")
+
+
+def test_load_rejects_point_at_rig_center():
+    with pytest.raises(SceneParseError, match="line 2"):
+        load_scene("p 0 0 1000 0.5\np 0 0 0 0.5\n")
 
 
 def test_xorshift_known_sequence_is_stable():

@@ -71,6 +71,22 @@ def test_match_flat_images_all_sentinel():
     assert disp.matched_count == 0
 
 
+@pytest.mark.parametrize("shift", [64, 373, -64])
+def test_match_shift_of_a_whole_width_is_unmatched(shift):
+    img = np.random.default_rng(3).random((32, 64))
+    assert match_correlation(img, img, shift_px=shift).matched_count == 0
+
+
+def test_match_search_wider_than_image_skips_empty_offsets():
+    left = np.random.default_rng(4).random((16, 24))
+    right = shift_image(left, -5)
+    # offsets above 24 - 7 leave no full window of real columns
+    narrow = match_correlation(left, right, shift_px=0, search_range_px=17)
+    wide = match_correlation(left, right, shift_px=0, search_range_px=30)
+    assert narrow.matched_count > 0
+    assert np.array_equal(wide.disparity, narrow.disparity, equal_nan=True)
+
+
 def test_match_rendered_single_point():
     scene = load_scene("p 0 0 2000 0.9")
     pair = render_stereo_pair(scene, RigPose(0.0), 100.0, INTR, blob_radius_px=3.0)
