@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -125,6 +126,8 @@ def cmd_calibrate(data_path: Path, rate_mm_per_pulse: float) -> int:
 
 
 def cmd_match(args, config: RunConfig) -> int:
+    if not 0.0 < args.baseline_mm < math.inf:
+        raise ConfigError(f"--baseline-mm must be finite and > 0, got {args.baseline_mm}")
     left_raw = read_pgm(args.left)
     right_raw = read_pgm(args.right)
     if left_raw.shape != right_raw.shape:

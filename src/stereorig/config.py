@@ -7,7 +7,8 @@ a manifest, making every run reproducible from its artifacts alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 from .geometry import CameraIntrinsics
@@ -66,33 +67,40 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 _SCHEMA: dict[str, tuple] = {
     "scene": (str, None),
     "seed": (int, 0),
     "with_error": (_parse_bool, False),
-    "intrinsics.focal_px": (float, 280.0),
+    "intrinsics.focal_px": (_parse_float, 280.0),
     "intrinsics.image_width_px": (int, 320),
     "intrinsics.image_height_px": (int, 240),
-    "calibration.baseline_mm_per_pulse": (float, 5.0),
-    "calibration.rotation_deg_per_pulse": (float, 5.0),
-    "calibration.pwm_freq_hz": (float, 1333.0),
-    "calibration.pwm_duty": (float, 0.33),
-    "calibration.systematic_scale_error": (float, 0.03),
+    "calibration.baseline_mm_per_pulse": (_parse_float, 5.0),
+    "calibration.rotation_deg_per_pulse": (_parse_float, 5.0),
+    "calibration.pwm_freq_hz": (_parse_float, 1333.0),
+    "calibration.pwm_duty": (_parse_float, 0.33),
+    "calibration.systematic_scale_error": (_parse_float, 0.03),
     "policy.mode": (str, "ratio"),
-    "policy.target": (float, 0.05),
-    "policy.overlap_fraction": (float, 0.3),
-    "policy.baseline_min_mm": (float, 30.0),
-    "policy.baseline_max_mm": (float, 300.0),
+    "policy.target": (_parse_float, 0.05),
+    "policy.overlap_fraction": (_parse_float, 0.3),
+    "policy.baseline_min_mm": (_parse_float, 30.0),
+    "policy.baseline_max_mm": (_parse_float, 300.0),
     "vision.window_px": (int, 7),
     "vision.search_range_px": (int, 8),
-    "vision.min_score": (float, 0.6),
-    "vision.min_texture": (float, 0.02),
+    "vision.min_score": (_parse_float, 0.6),
+    "vision.min_texture": (_parse_float, 0.02),
     "vision.subpixel": (_parse_bool, True),
-    "scan.blob_radius_px": (float, 2.0),
-    "scan.cone_half_angle_deg": (float, 20.0),
-    "scan.initial_baseline_mm": (float, 100.0),
-    "cloud.match_radius_mm": (float, 0.0),
-    "cloud.voxel_mm": (float, 0.0),
+    "scan.blob_radius_px": (_parse_float, 2.0),
+    "scan.cone_half_angle_deg": (_parse_float, 20.0),
+    "scan.initial_baseline_mm": (_parse_float, 100.0),
+    "cloud.match_radius_mm": (_parse_float, 0.0),
+    "cloud.voxel_mm": (_parse_float, 0.0),
 }
 
 

@@ -98,21 +98,12 @@ def compensation_shift(
     return int(math.floor(d + 0.5))
 
 
-def _window_sums(img: np.ndarray, half: int) -> np.ndarray:
-    """Sum over the (2*half+1)^2 window around each interior pixel.
-
-    Border pixels (within ``half`` of an edge) are left at 0; callers mask
-    them out via the interior slice.
-    """
+def _window_sums(img: np.ndarray, k: int) -> np.ndarray:
+    """Sum over every full k x k window: entry [y, x] covers ``img[y:y+k, x:x+k]``."""
     h, w = img.shape
-    k = 2 * half + 1
     c = np.zeros((h + 1, w + 1))
     np.cumsum(np.cumsum(img, axis=0), axis=1, out=c[1:, 1:])
-    out = np.zeros_like(img)
-    out[half : h - half, half : w - half] = (
-        c[k:, k:] - c[:-k, k:] - c[k:, :-k] + c[:-k, :-k]
-    )
-    return out
+    return c[k:, k:] - c[:-k, k:] - c[k:, :-k] + c[:-k, :-k]
 
 
 def match_correlation(
@@ -134,7 +125,8 @@ def match_correlation(
     window_px : odd correlation window edge, >= 3.
     search_range_px : residual offsets examined are
         ``delta in [-search_range_px, +search_range_px]`` (offsets that
-        would make the total disparity negative are skipped).
+        would make the total disparity negative are skipped, and so are
+        offsets beyond ``width - window_px``, which leave no full window).
     min_score : smallest acceptable correlation peak.
     min_texture : smallest left-window standard deviation worth matching.
     subpixel : apply three-point parabolic refinement around the peak.
@@ -156,50 +148,43 @@ def match_correlation(
     shift_px = int(shift_px)
 
     h, w = left.shape
-    half = window_px // 2
-    n = float(window_px * window_px)
+    k = window_px
+    half = k // 2
+    n = float(k * k)
     disparity = np.full((h, w), np.nan)
+    reach = min(search_range_px, w - k)
     # candidate residuals, closest-to-zero first, negative before positive
     deltas = [
-        d
-        for d in sorted(range(-search_range_px, search_range_px + 1), key=lambda d: (abs(d), d))
-        if shift_px + d >= 0
+        d for d in sorted(range(-reach, reach + 1), key=lambda d: (abs(d), d)) if shift_px + d >= 0
     ]
     # a compensation shift of a whole width leaves no right-panel content to score
-    if not deltas or h < window_px or w < window_px or abs(shift_px) >= w:
+    if not deltas or h < k or abs(shift_px) >= w:
         return DisparityMap(disparity, window_px)
 
+    # Statistics are in window coordinates: [y, x] is the window whose top-left
+    # pixel is (y, x).  Each panel's sums are taken once; an offset only slices.
     shifted = shift_image(right, shift_px)
-    sum_l = _window_sums(left, half)
-    var_l_n = _window_sums(left * left, half) - sum_l * sum_l / n  # n * variance
-    sigma_l = np.sqrt(np.maximum(var_l_n / n, 0.0))
+    sum_l = _window_sums(left, k)
+    var_l_n = _window_sums(left * left, k) - sum_l * sum_l / n  # n * variance
+    sum_r = _window_sums(shifted, k)
+    var_r_n = _window_sums(shifted * shifted, k) - sum_r * sum_r / n
+    textured = np.sqrt(np.maximum(var_l_n / n, 0.0)) >= min_texture
+    # a flat window cannot be scored; its NaN score never wins a comparison
+    var_l_n[var_l_n <= _VAR_EPS] = np.nan
+    var_r_n[var_r_n <= _VAR_EPS] = np.nan
 
-    interior = np.zeros((h, w), dtype=bool)
-    interior[half : h - half, half : w - half] = True
-    textured = interior & (sigma_l >= min_texture)
-
-    lo = min(deltas)
-    n_cand = max(deltas) - lo + 1
-    scores = np.full((n_cand, h, w), -np.inf)
+    lo, hi = min(deltas), max(deltas)
+    scores = np.full((hi - lo + 1,) + sum_l.shape, -np.inf)
     for d in deltas:
-        # the candidate window must come entirely from real shifted-panel columns
-        x_lo, x_hi = max(half, half + d), min(w - 1 - half, w - 1 - half + d)
-        if x_lo > x_hi:
-            continue
-        cand = shift_image(shifted, d) if d != 0 else shifted
-        sum_r = _window_sums(cand, half)
-        var_r_n = _window_sums(cand * cand, half) - sum_r * sum_r / n
-        cov = _window_sums(left * cand, half) - sum_l * sum_r / n
-        denom_sq = var_l_n * var_r_n
-        ok = interior & (var_r_n > _VAR_EPS) & (var_l_n > _VAR_EPS)
-        cols = np.zeros(w, dtype=bool)
-        cols[x_lo : x_hi + 1] = True
-        ok &= cols[None, :]
-        s = scores[d - lo]
-        s[ok] = cov[ok] / np.sqrt(denom_sq[ok])
+        # left columns a:b pair with shifted-panel columns a-d:b-d
+        a, b = max(d, 0), min(w + d, w)
+        at_l, at_r = slice(a, b - k + 1), slice(a - d, b - d - k + 1)
+        prod = _window_sums(left[:, a:b] * shifted[:, a - d : b - d], k)
+        cov = prod - sum_l[:, at_l] * sum_r[:, at_r] / n
+        scores[d - lo, :, at_l] = cov / np.sqrt(var_l_n[:, at_l] * var_r_n[:, at_r])
 
-    best_score = np.full((h, w), -np.inf)
-    best_delta = np.zeros((h, w), dtype=np.int64)
+    best_score = np.full(sum_l.shape, -np.inf)
+    best_delta = np.zeros(sum_l.shape, dtype=np.int64)
     for d in deltas:  # already in tie-break order; strict '>' keeps the first best
         s = scores[d - lo]
         better = s > best_score
@@ -209,9 +194,9 @@ def match_correlation(
 
     result = shift_px + best_delta.astype(float)
     if subpixel:
-        offs = np.zeros((h, w))
+        offs = np.zeros(sum_l.shape)
         idx = best_delta - lo
-        has_nb = matched & (best_delta > lo) & (best_delta < max(deltas))
+        has_nb = matched & (best_delta > lo) & (best_delta < hi)
         ys, xs = np.nonzero(has_nb)
         if ys.size:
             s0 = scores[idx[ys, xs], ys, xs]
@@ -224,7 +209,7 @@ def match_correlation(
             offs[ys, xs] = np.clip(frac, -0.5, 0.5)
         result = result + offs
 
-    disparity[matched] = result[matched]
+    disparity[half : h - half, half : w - half][matched] = result[matched]
     return DisparityMap(disparity, window_px)
 
 

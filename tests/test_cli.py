@@ -83,6 +83,13 @@ def test_scan_degenerate_input_exits_2(tmp_path, config, scene):
     assert code == 2
 
 
+def test_scan_non_finite_config_float_exits_2(demo_dir):
+    cfg = demo_dir / "run.cfg"
+    cfg.write_text(DEMO_CONFIG + "scan.blob_radius_px = nan\n", encoding="utf-8")
+    assert main(["scan", "--config", str(cfg), "--out", str(demo_dir / "out")]) == 2
+    assert not (demo_dir / "out").exists()
+
+
 def test_scan_shift_beyond_image_width_matches_nothing(tmp_path):
     # a 200 mm baseline on a point 150 mm away predicts a shift wider than the image
     (tmp_path / "run.cfg").write_text("scene = s\npolicy.baseline_min_mm = 200\n", encoding="utf-8")
@@ -233,6 +240,15 @@ def test_match_bad_vision_params_exit_2(tmp_path, flag, value):
     (tmp_path / "r.pgm").write_bytes(img)
     left, right = str(tmp_path / "l.pgm"), str(tmp_path / "r.pgm")
     assert main(["match", "--left", left, "--right", right, flag, value]) == 2
+
+
+@pytest.mark.parametrize("baseline", ["-5", "0", "nan", "inf"])
+def test_match_bad_baseline_exits_2_before_reading_images(tmp_path, capsys, baseline):
+    # the images do not exist: the baseline must be rejected first
+    left, right = str(tmp_path / "l.pgm"), str(tmp_path / "r.pgm")
+    code = main(["match", "--left", left, "--right", right, f"--baseline-mm={baseline}"])
+    assert code == 2
+    assert "--baseline-mm" in capsys.readouterr().err
 
 
 def test_match_corrupt_header_exits_2(tmp_path):

@@ -65,6 +65,16 @@ def test_out_of_range_values_rejected():
         build_config(parse_config("scan.cone_half_angle_deg = 90"))
 
 
+FLOAT_KEYS = [key for key, default in parse_config("").items() if isinstance(default, float)]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_floats_rejected(key, text):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"{key} = {text}\n")
+
+
 def test_scene_resolved_relative_to_config(tmp_path):
     sub = tmp_path / "nested"
     sub.mkdir()

@@ -82,9 +82,77 @@ def test_match_search_wider_than_image_skips_empty_offsets():
     right = shift_image(left, -5)
     # offsets above 24 - 7 leave no full window of real columns
     narrow = match_correlation(left, right, shift_px=0, search_range_px=17)
-    wide = match_correlation(left, right, shift_px=0, search_range_px=30)
     assert narrow.matched_count > 0
-    assert np.array_equal(wide.disparity, narrow.disparity, equal_nan=True)
+    for search in (30, 10**9):
+        wide = match_correlation(left, right, shift_px=0, search_range_px=search)
+        assert np.array_equal(wide.disparity, narrow.disparity, equal_nan=True)
+
+
+def _reference_ncc(left, right, shift_px, window_px, search_range_px, min_score, subpixel):
+    """Zero-mean NCC straight from its definition, one pixel and one offset at a time.
+
+    The right panel is moved by ``shift_px`` with vacated columns 0; a
+    candidate window must lie inside that panel.  Ties go to the smaller
+    |delta|, then the negative one; the peak is refined by a parabola
+    through its two neighbours when both are scored.
+    """
+    h, w = left.shape
+    half = window_px // 2
+
+    def score(y, x, d):
+        first = x - d - half  # window's first column in the moved right panel
+        if abs(d) > search_range_px or shift_px + d < 0 or first < 0 or first + window_px > w:
+            return -math.inf
+        src = np.arange(first, first + window_px) - shift_px
+        r = right[y - half : y + half + 1, np.clip(src, 0, w - 1)] * ((src >= 0) & (src < w))
+        l = left[y - half : y + half + 1, x - half : x + half + 1]
+        a, b = l - l.mean(), r - r.mean()
+        var_l, var_r = (a * a).sum(), (b * b).sum()
+        if var_l <= 1e-12 or var_r <= 1e-12:
+            return -math.inf
+        return (a * b).sum() / math.sqrt(var_l * var_r)
+
+    deltas = sorted(range(-search_range_px, search_range_px + 1), key=lambda d: (abs(d), d))
+    out = np.full((h, w), np.nan)
+    for y in range(half, h - half):
+        for x in range(half, w - half):
+            if left[y - half : y + half + 1, x - half : x + half + 1].std() < 0.02:
+                continue
+            best, best_d = -math.inf, 0
+            for d in deltas:
+                s = score(y, x, d)
+                if s > best:
+                    best, best_d = s, d
+            if best < min_score:
+                continue
+            frac = 0.0
+            sm, sp = score(y, x, best_d - 1), score(y, x, best_d + 1)
+            denom = sm - 2.0 * best + sp
+            if subpixel and math.isfinite(sm) and math.isfinite(sp) and denom < -1e-12:
+                frac = min(max(0.5 * (sm - sp) / denom, -0.5), 0.5)
+            out[y, x] = shift_px + best_d + frac
+    return out
+
+
+@pytest.mark.parametrize(
+    "true_disp, shift, window, search",
+    [(3, 0, 3, 5), (3, 3, 5, 2), (2, -3, 5, 6), (5, 7, 7, 3), (4, 0, 7, 30), (13, 0, 7, 30),
+     (6, 2, 3, 8), (0, 0, 9, 0), (2, 20, 3, 4)],
+)
+def test_match_equals_direct_ncc_reference(true_disp, shift, window, search):
+    rng = np.random.default_rng(true_disp * 100 + window)
+    left = rng.random((12, 20))
+    right = rng.random((12, 20))
+    right[:, : 20 - true_disp] = left[:, true_disp:] + 0.05 * rng.random((12, 20 - true_disp))
+    for subpixel in (False, True):
+        ref = _reference_ncc(left, right, shift, window, search, 0.2, subpixel)
+        got = match_correlation(
+            left, right, shift, window_px=window, search_range_px=search, min_score=0.2,
+            subpixel=subpixel,
+        ).disparity
+        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+        assert np.isfinite(ref).any() == (shift < 20)
+        assert np.abs(got - ref)[np.isfinite(ref)].max(initial=0.0) <= 1e-9
 
 
 def test_match_rendered_single_point():
