@@ -169,10 +169,9 @@ def format_report(report: AccuracyReport, cloud_points: int, scene_points: int) 
 
 def export_ply(cloud: PointCloud) -> bytes:
     """ASCII PLY 1.0, coordinates in meters, 6 significant digits, LF endings."""
-    lines = [_PLY_HEADER.format(n=len(cloud))]
-    for (x, y, z), i in zip(cloud.xyz, cloud.intensity):
-        lines.append(f"{_fmt(x / 1000.0)} {_fmt(y / 1000.0)} {_fmt(z / 1000.0)} {_fmt(i)}\n")
-    return "".join(lines).encode("ascii")
+    rows = np.column_stack([cloud.xyz / 1000.0, cloud.intensity])
+    body = ("%.6g %.6g %.6g %.6g\n" * len(cloud)) % tuple(rows.ravel().tolist())
+    return (_PLY_HEADER.format(n=len(cloud)) + body).encode("ascii")
 
 
 def import_ply(data: bytes) -> PointCloud:

@@ -28,7 +28,11 @@ __all__ = [
     "screen_intervals",
     "depth_resolution_mm",
     "horizontal_fov_deg",
+    "MAX_IMAGE_SIDE_PX",
 ]
+
+# largest image side accepted; rendering and matching allocate several h x w planes
+MAX_IMAGE_SIDE_PX = 4096
 
 
 class AtInfinityError(ValueError):
@@ -67,8 +71,8 @@ class CameraIntrinsics:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 16:
-                raise ValueError(f"{name} must be >= 16 px, got {value}")
+            if not 16 <= value <= MAX_IMAGE_SIDE_PX:
+                raise ValueError(f"{name} must lie in [16, {MAX_IMAGE_SIDE_PX}] px, got {value}")
 
     @property
     def cx(self) -> float:

@@ -37,11 +37,15 @@ __all__ = [
     "render_stereo_pair",
     "SENSOR_MIN_MM",
     "SENSOR_MAX_MM",
+    "MAX_SCENE_POINTS",
 ]
 
 # operating window of the distance sensor; anything outside reads as no-return
 SENSOR_MIN_MM = 100.0
 SENSOR_MAX_MM = 60000.0
+
+# largest scene a file may describe, checked before a `room` line generates points
+MAX_SCENE_POINTS = 1_000_000
 
 _MASK64 = (1 << 64) - 1
 _XORSHIFT_MULT = 0x2545F4914F6CDD1D
@@ -205,6 +209,8 @@ def load_scene(text: str) -> Scene:
                 raise SceneParseError(lineno, f"intensity {values[3]} outside [0, 1]")
             if not any(values[:3]):
                 raise SceneParseError(lineno, "a point cannot sit at the rig center")
+            if len(rows) + 1 > MAX_SCENE_POINTS:
+                raise SceneParseError(lineno, f"scene exceeds {MAX_SCENE_POINTS} points")
             rows.append(values)
         elif tokens[0] == "room":
             if len(tokens) != 7 or tokens[5] != "seed":
@@ -219,6 +225,8 @@ def load_scene(text: str) -> Scene:
                 raise SceneParseError(lineno, f"non-numeric field in {raw!r}") from None
             if min(width, depth, height) <= 0.0 or n < 1 or seed < 0:
                 raise SceneParseError(lineno, "room dimensions, count and seed must be positive")
+            if len(rows) + n > MAX_SCENE_POINTS:
+                raise SceneParseError(lineno, f"scene exceeds {MAX_SCENE_POINTS} points")
             rows.extend(_room_points(width, depth, height, n, seed))
         else:
             raise SceneParseError(lineno, f"unknown directive {tokens[0]!r}")
@@ -283,40 +291,39 @@ def _splat_panel(
 
     Each point is drawn as a truncated Gaussian blob (sigma = radius / 2).
     A pixel belongs to the nearest point whose blob reaches it; on equal
-    depth the earlier point keeps it (strict '<' below).
+    depth the earlier point keeps it (the ownership sort is stable).
     """
     h, w = intrinsics.image_height_px, intrinsics.image_width_px
     f, cx, cy = intrinsics.focal_px, intrinsics.cx, intrinsics.cy
     sigma = blob_radius_px / 2.0
-    image = np.zeros((h, w))
-    owner_depth = np.full((h, w), np.inf)
-    owner_idx = np.full((h, w), -1, dtype=np.int64)
-    r2_max = blob_radius_px * blob_radius_px
-    for i in range(len(depth)):
-        z = depth[i]
-        if z <= 0.0:  # behind the camera plane
-            continue
-        u = cx + f * lateral[i] / z
-        v = cy + f * vertical[i] / z
-        x0 = max(int(math.floor(u - blob_radius_px)), 0)
-        x1 = min(int(math.ceil(u + blob_radius_px)), w - 1)
-        y0 = max(int(math.floor(v - blob_radius_px)), 0)
-        y1 = min(int(math.ceil(v + blob_radius_px)), h - 1)
-        if x0 > x1 or y0 > y1:  # outside this panel's frustum
-            continue
-        ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
-        r2 = (xs - u) ** 2 + (ys - v) ** 2
-        win = (r2 <= r2_max) & (z < owner_depth[y0 : y1 + 1, x0 : x1 + 1])
-        if not win.any():
-            continue
-        value = intensity[i] * np.exp(-r2 / (2.0 * sigma * sigma))
-        patch_img = image[y0 : y1 + 1, x0 : x1 + 1]
-        patch_depth = owner_depth[y0 : y1 + 1, x0 : x1 + 1]
-        patch_idx = owner_idx[y0 : y1 + 1, x0 : x1 + 1]
-        patch_img[win] = value[win]
-        patch_depth[win] = z
-        patch_idx[win] = i
-    return image, owner_idx
+    reach = math.ceil(blob_radius_px) + 1
+    # cull without dividing, so u and v stay finite: the strict bounds drop
+    # depth <= 0 and centres over `reach` px off the panel, whose blobs miss
+    # it; a depth that overflowed to inf owns no pixel
+    idx = np.flatnonzero(
+        (np.abs(f * lateral) < (cx + reach) * depth)
+        & (np.abs(f * vertical) < (cy + reach) * depth)
+        & (depth < np.inf)
+    )
+    u, v = cx + f * lateral[idx] / depth[idx], cy + f * vertical[idx] / depth[idx]
+    # candidate pixels: a stencil per point, shifted to lie inside the panel
+    nx, ny = min(2 * reach + 1, w), min(2 * reach + 1, h)
+    x0 = np.clip(np.floor(u).astype(np.int64) - reach, 0, w - nx)
+    y0 = np.clip(np.floor(v).astype(np.int64) - reach, 0, h - ny)
+    dx2 = (x0[:, None] + np.arange(nx) - u[:, None]) ** 2
+    dy2 = (y0[:, None] + np.arange(ny) - v[:, None]) ** 2
+    r2 = dy2[:, :, None] + dx2[:, None, :]
+    k, iy, ix = np.nonzero(r2 <= blob_radius_px * blob_radius_px)
+    pixel, point, r2 = (y0[k] + iy) * w + x0[k] + ix, idx[k], r2[k, iy, ix]
+    # candidates come in point order, so a stable sort on (pixel, depth) puts
+    # each pixel's owner first, the earlier point first on a depth tie
+    order = np.lexsort((depth[point], pixel))
+    owns = order[np.unique(pixel[order], return_index=True)[1]]
+    image = np.zeros(h * w)
+    owner_idx = np.full(h * w, -1, dtype=np.int64)
+    image[pixel[owns]] = intensity[point[owns]] * np.exp(-r2[owns] / (2.0 * sigma * sigma))
+    owner_idx[pixel[owns]] = point[owns]
+    return image.reshape(h, w), owner_idx.reshape(h, w)
 
 
 def render_stereo_pair(

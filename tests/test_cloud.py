@@ -99,9 +99,17 @@ def test_export_empty_cloud():
 
 
 def test_export_single_point_line():
-    cloud = make_cloud([[0.0, 0.0, 2000.0]], intensity=np.array([0.8]))
-    body = export_ply(cloud).split(b"end_header\n", 1)[1]
-    assert body == b"0 0 2 0.8\n"
+    # (x, y, z in mm, intensity) -> the %.6g line of meters and intensity
+    cases = [
+        ((0.0, 0.0, 2000.0, 0.8), b"0 0 2 0.8\n"),
+        ((-0.0, -0.0, 1.0, -0.0), b"-0 -0 0.001 -0\n"),
+        ((5e-324, -5e-321, 1e303, 5e-324), b"0 -4.94066e-324 1e+300 4.94066e-324\n"),
+        ((999999500.0, -999999500.0, 0.09999995, 999999.5), b"1e+06 -1e+06 0.0001 1e+06\n"),
+        ((9.999995e-2, 1e300, -1.5, 9.999995e-5), b"0.0001 1e+297 -0.0015 0.0001\n"),
+    ]
+    for (*xyz, intensity), line in cases:
+        cloud = make_cloud([xyz], intensity=np.array([intensity]))
+        assert export_ply(cloud).split(b"end_header\n", 1)[1] == line
 
 
 def test_export_import_round_trip_bytes():

@@ -57,6 +57,8 @@ def test_out_of_range_values_rejected():
         build_config(parse_config("calibration.pwm_duty = 1.5"))
     with pytest.raises(ConfigError):
         build_config(parse_config("intrinsics.image_width_px = 4"))
+    with pytest.raises(ConfigError, match="4096"):
+        build_config(parse_config("intrinsics.image_width_px = 4097"))
     with pytest.raises(ConfigError):
         build_config(parse_config("policy.mode = sideways"))
     with pytest.raises(ConfigError):

@@ -185,6 +185,9 @@ def test_intrinsics_validation():
         CameraIntrinsics(focal_px=800.0, image_width_px=8, image_height_px=480)
     with pytest.raises(ValueError):
         CameraIntrinsics(focal_px=800.0, image_width_px=640.0, image_height_px=480)
+    with pytest.raises(ValueError, match="4096"):
+        CameraIntrinsics(focal_px=800.0, image_width_px=640, image_height_px=4097)
+    CameraIntrinsics(focal_px=800.0, image_width_px=4096, image_height_px=16)  # both limits allowed
 
 
 def test_intrinsics_principal_point_is_center():

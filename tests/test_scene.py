@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from stereorig.geometry import CameraIntrinsics
 from stereorig.scene import (
+    MAX_SCENE_POINTS,
     RigPose,
     Scene,
     SceneParseError,
@@ -67,6 +70,18 @@ def test_load_rejects_empty_scene():
 def test_load_rejects_point_at_rig_center():
     with pytest.raises(SceneParseError, match="line 2"):
         load_scene("p 0 0 1000 0.5\np 0 0 0 0.5\n")
+
+
+def test_load_rejects_scenes_over_the_point_cap(monkeypatch):
+    # rejected before the room generates a single point
+    with pytest.raises(SceneParseError, match="line 2: scene exceeds 1000000 points"):
+        load_scene(f"p 0 0 2000 0.5\nroom 4000 3000 2500 {MAX_SCENE_POINTS} seed 1")
+    with pytest.raises(SceneParseError, match="line 1"):
+        load_scene("room 4000 3000 2500 1000000000 seed 1")
+    monkeypatch.setattr("stereorig.scene.MAX_SCENE_POINTS", 3)
+    assert len(load_scene("p 0 0 2000 0.5\nroom 4000 3000 2500 2 seed 1")) == 3
+    with pytest.raises(SceneParseError, match="line 4"):
+        load_scene("p 0 0 2000 0.5\n" * 4)
 
 
 def test_xorshift_known_sequence_is_stable():
@@ -197,9 +212,88 @@ def test_render_rejects_bad_args():
 
 
 def test_points_behind_camera_are_skipped():
-    scene = load_scene("p 0 0 -500 0.9\np 0 0 2000 0.9")
-    pair = render_stereo_pair(scene, RigPose(0.0), 100.0, INTR)
+    # the second scene's first point sits on the camera plane, where its
+    # projection would overflow to infinity
+    for first in ("p 0 0 -500 0.9", "p 1000 0 1e-310 0.9"):
+        scene = load_scene(f"{first}\np 0 0 2000 0.9")
+        pair = render_stereo_pair(scene, RigPose(0.0), 100.0, INTR)
+        assert pair.visible_mask.tolist() == [False, True]
+
+
+def test_point_at_overflowed_depth_is_skipped():
+    # x and z near the float maximum: the heading-45 depth overflows to inf
+    scene = load_scene("p 1.5e308 0 1.5e308 0.9\np 1000 0 1000 0.9")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        pair = render_stereo_pair(scene, RigPose(45.0), 100.0, INTR)
     assert pair.visible_mask.tolist() == [False, True]
+
+
+def _reference_render(scene, baseline_mm, intr, radius):
+    """The README's occlusion rule applied pixel by pixel, at heading 0.
+
+    A pixel belongs to the point with the smallest positive finite depth
+    whose blob (r <= radius) covers it; equal depths go to the lower index.
+    """
+    h, w, f = intr.image_height_px, intr.image_width_px, intr.focal_px
+    sigma = radius / 2.0
+    xs, ys, zs, intensity = (scene.points[:, c].tolist() for c in range(4))
+
+    def panel(shift):
+        image = np.zeros((h, w))
+        owner = np.full((h, w), -1)
+        centres = [
+            (intr.cx + f * (x - shift) / z, intr.cy + f * -y / z) if 0.0 < z < math.inf else None
+            for x, y, z in zip(xs, ys, zs)
+        ]
+        for py in range(h):
+            for px in range(w):
+                for i, centre in enumerate(centres):
+                    if centre is None:
+                        continue
+                    r2 = (px - centre[0]) * (px - centre[0]) + (py - centre[1]) * (py - centre[1])
+                    if r2 <= radius * radius and (owner[py, px] < 0 or zs[i] < zs[owner[py, px]]):
+                        owner[py, px] = i
+                        image[py, px] = intensity[i] * math.exp(-r2 / (2.0 * sigma * sigma))
+        return image, owner
+
+    left, owner = panel(0.0)
+    right, _ = panel(baseline_mm)
+    truth = np.full((h, w), np.nan)
+    for (py, px), i in np.ndenumerate(owner):
+        if i >= 0:
+            truth[py, px] = f * baseline_mm / zs[i]
+    return left, right, truth, np.isin(np.arange(len(zs)), owner)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("radius", [1.0, 1.5, 2.0, 3.7])
+def test_render_matches_per_pixel_reference(radius, seed):
+    intr = CameraIntrinsics(focal_px=25.0, image_width_px=32, image_height_px=24)
+    rng = np.random.default_rng(seed)
+    n = 30
+    z = rng.uniform(500.0, 3000.0, n)
+    z[rng.random(n) < 0.4] = 1000.0  # shared depths
+    x = rng.uniform(-1.3, 1.3, n) * z * intr.cx / intr.focal_px  # some land off the panel
+    y = rng.uniform(-1.3, 1.3, n) * z * intr.cy / intr.focal_px
+    on_grid = z == 1000.0  # 40 mm steps at 1 m are whole pixels: exact blob-edge distances
+    x[on_grid], y[on_grid] = 40.0 * np.round(x[on_grid] / 40.0), 40.0 * np.round(y[on_grid] / 40.0)
+    points = np.column_stack([x, y, z, rng.random(n)])
+    extra = [
+        [*points[3, :3], 0.1],  # duplicate of an earlier point
+        [*points[7, :3], 0.9],
+        [0.0, 0.0, -500.0, 0.5],  # behind the camera
+        [1000.0, 0.0, 1e-310, 0.5],  # on the camera plane
+        [0.0, 0.0, 1e-3, 0.5],  # just in front of it, on the boresight
+        [1e6, 0.0, 1000.0, 0.5],  # far off the panel
+    ]
+    scene = Scene(np.vstack([points, extra]))
+    pair = render_stereo_pair(scene, RigPose(0.0), 100.0, intr, blob_radius_px=radius)
+    left, right, truth, visible = _reference_render(scene, 100.0, intr, radius)
+    assert np.array_equal(pair.truth_disparity, truth, equal_nan=True)
+    assert np.array_equal(pair.visible_mask, visible)
+    # math.exp may differ from numpy's exp by one ulp
+    assert np.allclose(pair.left, left, rtol=0.0, atol=1e-12)
+    assert np.allclose(pair.right, right, rtol=0.0, atol=1e-12)
 
 
 def test_scene_validation():
