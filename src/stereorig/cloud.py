@@ -92,26 +92,69 @@ def merge(fragments, voxel_mm: float | None = None) -> PointCloud:
     return PointCloud(xyz, intensity, heading)
 
 
-def _nearest_distances(targets: np.ndarray, cloud_xyz: np.ndarray) -> np.ndarray:
-    """Brute-force nearest-neighbour distance per target, chunked to bound memory.
+# coarse-to-fine grid search: the first cell is radius / _STEP**_LEVELS and
+# each level grows it by _STEP until one cell spans the match radius
+_STEP = 4
+_LEVELS = 4
+_PAIR_CHUNK = 1 << 16  # (target, candidate) pairs scored at once
+# cells are at least 2**-_KEY_BITS of the joint extent, so every flat cell
+# key fits in int64, and at least _MIN_CELL_MM, so squared gaps of a cell
+# stay normal floats
+_KEY_BITS = 20
+_MIN_CELL_MM = 1e-150
+# a cell's 27-cell block holds every point within (1 - _SLACK) * cell even
+# after the rounding of the key arithmetic
+_SLACK = 2.0**-30
+_BLOCK = np.array([(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)])
 
-    The quadratic-expansion trick finds the neighbour; the returned distance
-    is then recomputed from the actual difference vector, which avoids the
-    cancellation error of the expansion at room-scale coordinates.
+
+def _nearest_within(targets: np.ndarray, cloud_xyz: np.ndarray, radius: float) -> np.ndarray:
+    """Distance from each target to its nearest cloud point, exact where it is <= radius.
+
+    Each level hashes the cloud into cubic cells, sorts it by cell key and
+    scores every open target against the points of its 27 surrounding cells.
+    A target whose best distance lies within the block's guaranteed reach is
+    settled, since no point outside the block can be closer.  The last level
+    reaches past the radius, so a target left at inf there has no point
+    within it; a larger distance returned there need not be the nearest.
     """
-    cloud_sq = np.einsum("ij,ij->i", cloud_xyz, cloud_xyz)
-    out = np.empty(targets.shape[0])
-    chunk = 64
-    for start in range(0, targets.shape[0], chunk):
-        t = targets[start : start + chunk]
-        d2 = (
-            np.einsum("ij,ij->i", t, t)[:, None]
-            - 2.0 * (t @ cloud_xyz.T)
-            + cloud_sq[None, :]
-        )
-        nearest = d2.argmin(axis=1)
-        out[start : start + chunk] = np.linalg.norm(t - cloud_xyz[nearest], axis=1)
-    return out
+    lo = np.minimum(targets.min(axis=0), cloud_xyz.min(axis=0))
+    extent = float((np.maximum(targets.max(axis=0), cloud_xyz.max(axis=0)) - lo).max())
+    floor_cell = max(extent / 2.0**_KEY_BITS, _MIN_CELL_MM)
+    # a hair past radius / (1 - _SLACK), so the last block reaches the radius
+    last_cell = radius / (1.0 - _SLACK) ** 2
+    best = np.full(targets.shape[0], np.inf)
+    open_idx = np.arange(targets.shape[0])
+    cell = last_cell / _STEP**_LEVELS
+    while open_idx.size:
+        cell = max(cell, floor_cell)
+        last = cell >= last_cell
+        cloud_ijk = np.floor((cloud_xyz - lo) / cell).astype(np.int64) + 1
+        target_ijk = np.floor((targets[open_idx] - lo) / cell).astype(np.int64) + 1
+        dims = np.maximum(cloud_ijk.max(axis=0), target_ijk.max(axis=0)) + 2
+        strides = np.array([dims[1] * dims[2], dims[2], 1])
+        cloud_keys = cloud_ijk @ strides
+        order = np.argsort(cloud_keys, kind="stable")
+        keys = cloud_keys[order]
+        probes = (target_ijk @ strides)[:, None] + (_BLOCK @ strides)[None, :]
+        starts = np.searchsorted(keys, probes, side="left").ravel()
+        counts = np.searchsorted(keys, probes, side="right").ravel() - starts
+        ends = np.cumsum(counts)
+        for p0 in range(0, int(ends[-1]), _PAIR_CHUNK):
+            pair = np.arange(p0, min(p0 + _PAIR_CHUNK, int(ends[-1])))
+            probe = np.searchsorted(ends, pair, side="right")
+            point = order[starts[probe] + pair - (ends[probe] - counts[probe])]
+            owner = open_idx[probe // len(_BLOCK)]
+            dist = np.linalg.norm(targets[owner] - cloud_xyz[point], axis=1)
+            # pairs come grouped by owner, so each group reduces in one pass
+            head = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+            group = owner[head]
+            best[group] = np.minimum(best[group], np.minimum.reduceat(dist, head))
+        if last:
+            break
+        open_idx = open_idx[best[open_idx] > cell * (1.0 - _SLACK)]
+        cell *= _STEP
+    return best
 
 
 def accuracy_report(
@@ -127,13 +170,13 @@ def accuracy_report(
     cloud point lies within the match radius; rmse and median are taken
     over the recovered points' nearest-match distances.
     """
-    if match_radius_mm <= 0.0:
+    if not match_radius_mm > 0.0:
         raise ValueError("match_radius_mm must be > 0")
     targets = scene.xyz if visible_mask is None else scene.xyz[np.asarray(visible_mask, bool)]
     n_candidates = targets.shape[0]
     if n_candidates == 0 or len(cloud) == 0:
         return AccuracyReport(0.0, float("nan"), float("nan"), n_candidates, 0, match_radius_mm)
-    dist = _nearest_distances(targets, cloud.xyz)
+    dist = _nearest_within(targets, cloud.xyz, match_radius_mm)
     recovered = dist <= match_radius_mm
     n_rec = int(recovered.sum())
     if n_rec == 0:

@@ -15,7 +15,17 @@ from .geometry import CameraIntrinsics
 from .mechanics import ActuationCalibration
 from .planner import CapturePolicy, TargetDisparity, TargetRatio
 
-__all__ = ["ConfigError", "VisionParams", "RunConfig", "parse_config", "load_config"]
+__all__ = [
+    "ConfigError",
+    "VisionParams",
+    "RunConfig",
+    "parse_config",
+    "load_config",
+    "MAX_BLOB_RADIUS_PX",
+]
+
+# the renderer's splat stencil grows with the blob radius squared
+MAX_BLOB_RADIUS_PX = 16.0
 
 
 class ConfigError(ValueError):
@@ -172,8 +182,8 @@ def build_config(values: dict[str, object], base_dir: Path | None = None) -> Run
         if base_dir is not None and not scene_path.is_absolute():
             scene_path = base_dir / scene_path
 
-    if values["scan.blob_radius_px"] < 1.0:
-        raise ConfigError("scan.blob_radius_px must be >= 1")
+    if not 1.0 <= values["scan.blob_radius_px"] <= MAX_BLOB_RADIUS_PX:
+        raise ConfigError(f"scan.blob_radius_px must lie in [1, {MAX_BLOB_RADIUS_PX:g}]")
     if not 0.0 < values["scan.cone_half_angle_deg"] <= 45.0:
         raise ConfigError("scan.cone_half_angle_deg must lie in (0, 45]")
     if values["cloud.match_radius_mm"] < 0.0 or values["cloud.voxel_mm"] < 0.0:

@@ -38,6 +38,7 @@ __all__ = [
     "SENSOR_MIN_MM",
     "SENSOR_MAX_MM",
     "MAX_SCENE_POINTS",
+    "MAX_SCENE_COORD_MM",
 ]
 
 # operating window of the distance sensor; anything outside reads as no-return
@@ -46,6 +47,8 @@ SENSOR_MAX_MM = 60000.0
 
 # largest scene a file may describe, checked before a `room` line generates points
 MAX_SCENE_POINTS = 1_000_000
+# largest |coordinate| of a scene point (1 km); a room may span twice that
+MAX_SCENE_COORD_MM = 1e6
 
 _MASK64 = (1 << 64) - 1
 _XORSHIFT_MULT = 0x2545F4914F6CDD1D
@@ -205,6 +208,8 @@ def load_scene(text: str) -> Scene:
                 raise SceneParseError(lineno, f"non-numeric field in {raw!r}") from None
             if not all(math.isfinite(v) for v in values):
                 raise SceneParseError(lineno, "coordinates and intensity must be finite")
+            if max(abs(v) for v in values[:3]) > MAX_SCENE_COORD_MM:
+                raise SceneParseError(lineno, f"coordinates exceed {MAX_SCENE_COORD_MM:g} mm")
             if not 0.0 <= values[3] <= 1.0:
                 raise SceneParseError(lineno, f"intensity {values[3]} outside [0, 1]")
             if not any(values[:3]):
@@ -223,8 +228,12 @@ def load_scene(text: str) -> Scene:
                 seed = int(tokens[6])
             except ValueError:
                 raise SceneParseError(lineno, f"non-numeric field in {raw!r}") from None
-            if min(width, depth, height) <= 0.0 or n < 1 or seed < 0:
-                raise SceneParseError(lineno, "room dimensions, count and seed must be positive")
+            if not all(0.0 < v <= 2.0 * MAX_SCENE_COORD_MM for v in (width, depth, height)):
+                raise SceneParseError(
+                    lineno, f"room dimensions must lie in (0, {2.0 * MAX_SCENE_COORD_MM:g}] mm"
+                )
+            if n < 1 or seed < 0:
+                raise SceneParseError(lineno, "room count and seed must be positive")
             if len(rows) + n > MAX_SCENE_POINTS:
                 raise SceneParseError(lineno, f"scene exceeds {MAX_SCENE_POINTS} points")
             rows.extend(_room_points(width, depth, height, n, seed))

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereorig.cloud import PointCloud, accuracy_report, export_ply, import_ply, merge
-from stereorig.scene import load_scene
+from stereorig.scene import Scene, load_scene
 
 
 def make_cloud(xyz, intensity=None, heading=0):
@@ -135,5 +137,100 @@ def test_cloud_validation():
 
 def test_accuracy_rejects_bad_radius():
     scene = load_scene("p 0 0 2000 0.5")
-    with pytest.raises(ValueError):
-        accuracy_report(PointCloud.empty(), scene, match_radius_mm=0.0)
+    for radius in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            accuracy_report(PointCloud.empty(), scene, match_radius_mm=radius)
+
+
+def test_accuracy_finds_nearest_point_at_room_scale():
+    # the expansion |t|^2 - 2 t.c + |c|^2 cancels at room-scale coordinates
+    # and once picked the farther of these two points
+    t = np.array([3000.0, -1000.0, 4000.0])
+    scene = Scene(np.array([[3000.0, -1000.0, 4000.0, 0.5]]))
+    cloud = make_cloud([t + [0.0, 0.0, -7.5e-5], t + [5e-5, 0.0, 0.0]])
+    rep = accuracy_report(cloud, scene, match_radius_mm=6.25e-5)
+    assert rep.recall == 1.0
+    assert rep.n_recovered == 1
+    assert rep.median_error_mm == pytest.approx(5e-5, rel=1e-6)
+    assert rep.median_error_mm == float(np.linalg.norm(t - cloud.xyz[1]))
+
+
+def _assert_matches_exact_reference(targets, cloud_xyz, radius):
+    """accuracy_report against the exact nearest distance of every target."""
+    scene = Scene(np.column_stack([targets, np.full(len(targets), 0.5)]))
+    rep = accuracy_report(make_cloud(cloud_xyz), scene, match_radius_mm=radius)
+    dist = np.array([np.linalg.norm(t - cloud_xyz, axis=1).min() for t in targets])
+    hits = dist[dist <= radius]
+    assert rep.n_candidates == len(targets)
+    assert rep.n_recovered == hits.size
+    assert rep.recall == hits.size / len(targets)
+    if hits.size == 0:
+        assert math.isnan(rep.rmse_mm) and math.isnan(rep.median_error_mm)
+    else:
+        assert rep.rmse_mm == float(np.sqrt(np.mean(hits * hits)))
+        assert rep.median_error_mm == float(np.median(hits))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cloud=st.integers(1, 3000),
+    n_targets=st.integers(1, 60),
+    log_scale=st.floats(-2.0, 4.0),
+    offset=st.tuples(*[st.floats(-5000.0, 5000.0)] * 3),
+    layout=st.sampled_from(["uniform", "whole", "duplicated"]),
+    radius_kind=st.sampled_from(["tiny", "relative", "power_of_two"]),
+    log_radius=st.floats(-6.0, 1.0),
+)
+def test_accuracy_matches_exact_nearest_reference(
+    seed, n_cloud, n_targets, log_scale, offset, layout, radius_kind, log_radius
+):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    if layout == "whole":
+        # whole-number coordinates and power-of-two radii put points on or
+        # next to cell edges
+        side = max(2, int(scale))
+        cloud_xyz = rng.integers(-side, side, size=(n_cloud, 3)).astype(float)
+        targets = rng.integers(-side, side, size=(n_targets, 3)).astype(float)
+        targets[::3] += 0.5
+        cloud_xyz += np.round(offset)
+        targets += np.round(offset)
+    else:
+        cloud_xyz = rng.uniform(-scale, scale, size=(n_cloud, 3)) + offset
+        if layout == "duplicated":
+            cloud_xyz = cloud_xyz[rng.integers(0, n_cloud, size=n_cloud)]
+        near = cloud_xyz[rng.integers(0, n_cloud, size=n_targets)]
+        targets = near + rng.normal(scale=scale * 10.0 ** rng.uniform(-6, 0), size=(n_targets, 3))
+        exact = min(n_targets // 4, n_cloud)
+        targets[:exact] = cloud_xyz[:exact]
+    # some targets far outside the cloud
+    targets[1::5] += 100.0 * scale
+    if radius_kind == "tiny":
+        radius = 1e-300
+    elif radius_kind == "power_of_two":
+        radius = 2.0 ** round(math.log2(scale * 10.0**log_radius))
+    else:
+        radius = scale * 10.0**log_radius
+    _assert_matches_exact_reference(targets, cloud_xyz, radius)
+
+
+def test_accuracy_counts_a_point_at_the_radius_across_a_rounded_cell_edge():
+    # (target - lo) / cell rounds below a cell edge and (point - lo) / cell
+    # rounds up onto the edge two cells on, though the point lies within one
+    # cell (= the radius) of the target
+    targets = np.array([[2523.009453247909, 0.0, 0.0], [-1348.9335688193516, 0.0, 0.0]])
+    cloud_xyz = np.array([[2538.3135758647754, 0.0, 0.0]])
+    _assert_matches_exact_reference(targets, cloud_xyz, radius=15.304122616866643)
+
+
+def test_accuracy_matches_exact_nearest_reference_at_tiny_gaps():
+    # gaps below 1e-154 mm square to subnormal floats, whose norms lose
+    # precision, so cells must not shrink that far
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-165, -150)
+        cloud_xyz = rng.uniform(-scale, scale, size=(100, 3))
+        targets = rng.uniform(-scale, scale, size=(20, 3))
+        radius = scale * 10.0 ** rng.uniform(-2, 1)
+        _assert_matches_exact_reference(targets, cloud_xyz, radius)

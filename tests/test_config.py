@@ -65,6 +65,10 @@ def test_out_of_range_values_rejected():
         build_config(parse_config("vision.window_px = 6"))
     with pytest.raises(ConfigError):
         build_config(parse_config("scan.cone_half_angle_deg = 90"))
+    for radius in ("0.5", "16.5"):
+        with pytest.raises(ConfigError, match="blob_radius_px"):
+            build_config(parse_config(f"scan.blob_radius_px = {radius}"))
+    assert build_config(parse_config("scan.blob_radius_px = 16")).blob_radius_px == 16.0
 
 
 FLOAT_KEYS = [key for key, default in parse_config("").items() if isinstance(default, float)]

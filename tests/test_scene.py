@@ -5,6 +5,7 @@ import pytest
 
 from stereorig.geometry import CameraIntrinsics
 from stereorig.scene import (
+    MAX_SCENE_COORD_MM,
     MAX_SCENE_POINTS,
     RigPose,
     Scene,
@@ -82,6 +83,19 @@ def test_load_rejects_scenes_over_the_point_cap(monkeypatch):
     assert len(load_scene("p 0 0 2000 0.5\nroom 4000 3000 2500 2 seed 1")) == 3
     with pytest.raises(SceneParseError, match="line 4"):
         load_scene("p 0 0 2000 0.5\n" * 4)
+
+
+def test_load_rejects_coordinates_over_the_bound():
+    with pytest.raises(SceneParseError, match="line 2: coordinates exceed 1e\\+06 mm"):
+        load_scene("p 0 0 2000 0.5\np 1.5e308 0 1.5e308 0.9")
+    with pytest.raises(SceneParseError, match="line 1"):
+        load_scene(f"p 0 {-2 * MAX_SCENE_COORD_MM} 2000 0.5")
+    for room in ("4000 3000 2000001", "nan 3000 2500", "inf 3000 2500", "0 3000 2500"):
+        with pytest.raises(SceneParseError, match="line 1: room dimensions"):
+            load_scene(f"room {room} 10 seed 1")
+    edge = MAX_SCENE_COORD_MM
+    assert load_scene(f"p {edge} {-edge} {edge} 0.5").xyz.tolist() == [[edge, -edge, edge]]
+    assert np.abs(load_scene(f"room {2 * edge} 10 10 50 seed 1").xyz).max() <= edge
 
 
 def test_xorshift_known_sequence_is_stable():
@@ -222,7 +236,7 @@ def test_points_behind_camera_are_skipped():
 
 def test_point_at_overflowed_depth_is_skipped():
     # x and z near the float maximum: the heading-45 depth overflows to inf
-    scene = load_scene("p 1.5e308 0 1.5e308 0.9\np 1000 0 1000 0.9")
+    scene = Scene(np.array([[1.5e308, 0.0, 1.5e308, 0.9], [1000.0, 0.0, 1000.0, 0.9]]))
     with pytest.warns(RuntimeWarning, match="overflow"):
         pair = render_stereo_pair(scene, RigPose(45.0), 100.0, INTR)
     assert pair.visible_mask.tolist() == [False, True]
