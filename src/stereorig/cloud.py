@@ -86,8 +86,13 @@ def merge(fragments, voxel_mm: float | None = None) -> PointCloud:
         if voxel_mm <= 0.0:
             raise ValueError("voxel_mm must be > 0")
         keys = np.floor(xyz / voxel_mm).astype(np.int64)
-        _, first = np.unique(keys, axis=0, return_index=True)
-        keep = np.sort(first)
+        # a stable sort keeps each voxel's points in input order, so the
+        # first of every run of equal keys is the voxel's first point
+        order = np.lexsort(keys.T[::-1])
+        sorted_keys = keys[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+        keep = np.sort(order[first])
         xyz, intensity, heading = xyz[keep], intensity[keep], heading[keep]
     return PointCloud(xyz, intensity, heading)
 

@@ -136,6 +136,11 @@ def match_correlation(
     DisparityMap with ``disparity = shift_px + delta* (+ refinement)`` at
     matched pixels and NaN elsewhere.  Score ties prefer the smaller
     |delta|, then the negative delta, so results are reproducible.
+
+    Only textured windows (left standard deviation >= ``min_texture``) can
+    match, so only they are scored.  The offsets are walked once, keeping
+    a running best and the scores either side of it, so memory does not
+    grow with ``search_range_px``.
     """
     left = _require_image("left", left)
     right = _require_image("right", right)
@@ -153,63 +158,90 @@ def match_correlation(
     n = float(k * k)
     disparity = np.full((h, w), np.nan)
     reach = min(search_range_px, w - k)
-    # candidate residuals, closest-to-zero first, negative before positive
-    deltas = [
-        d for d in sorted(range(-reach, reach + 1), key=lambda d: (abs(d), d)) if shift_px + d >= 0
-    ]
+    lo = max(-reach, -shift_px)  # a negative total disparity is not searched
     # a compensation shift of a whole width leaves no right-panel content to score
-    if not deltas or h < k or abs(shift_px) >= w:
+    if lo > reach or h < k or abs(shift_px) >= w:
         return DisparityMap(disparity, window_px)
 
     # Statistics are in window coordinates: [y, x] is the window whose top-left
-    # pixel is (y, x).  Each panel's sums are taken once; an offset only slices.
-    shifted = shift_image(right, shift_px)
+    # pixel is (y, x).  Each panel's sums are taken once; an offset only gathers.
     sum_l = _window_sums(left, k)
     var_l_n = _window_sums(left * left, k) - sum_l * sum_l / n  # n * variance
+    textured = np.sqrt(np.maximum(var_l_n / n, 0.0)) >= min_texture
+    # only a textured window can match; they are taken in column order, so the
+    # windows that an offset covers are one contiguous run
+    xs, ys = np.nonzero(textured.T)
+    if not xs.size:
+        return DisparityMap(disparity, window_px)
+    shifted = shift_image(right, shift_px)
     sum_r = _window_sums(shifted, k)
     var_r_n = _window_sums(shifted * shifted, k) - sum_r * sum_r / n
-    textured = np.sqrt(np.maximum(var_l_n / n, 0.0)) >= min_texture
     # a flat window cannot be scored; its NaN score never wins a comparison
     var_l_n[var_l_n <= _VAR_EPS] = np.nan
     var_r_n[var_r_n <= _VAR_EPS] = np.nan
+    at_win = ys * sum_l.shape[1] + xs
+    sl, vl = sum_l.ravel()[at_win], var_l_n.ravel()[at_win]
+    sum_r, var_r_n = sum_r.ravel(), var_r_n.ravel()
 
-    lo, hi = min(deltas), max(deltas)
-    scores = np.full((hi - lo + 1,) + sum_l.shape, -np.inf)
-    for d in deltas:
+    # One prefix-sum buffer serves every offset.  Offset d's product band
+    # (left columns a:b) has its prefix sums at columns a..b, with column a
+    # zeroed as the origin, so window x reads its corners at columns x and
+    # x + k whatever the offset.  Rows below the last textured window's are
+    # never read, and dropping them changes no prefix value.
+    rows = int(ys.max()) + k
+    c = np.zeros((rows + 1, w + 1))
+    cf = c.ravel()
+    top, bottom = ys * (w + 1) + xs, (ys + k) * (w + 1) + xs
+
+    best_score = np.full(xs.size, -np.inf)
+    best_delta = np.zeros(xs.size, dtype=np.int64)
+    below = np.full(xs.size, -np.inf)  # score at best_delta - 1
+    above = np.full(xs.size, -np.inf)  # score at best_delta + 1
+    # score at the previous offset; a window's covered offsets are one run, so
+    # before its first one this still holds -inf, the score of an uncovered window
+    prev = np.full(xs.size, -np.inf)
+    for d in range(lo, reach + 1):
         # left columns a:b pair with shifted-panel columns a-d:b-d
         a, b = max(d, 0), min(w + d, w)
-        at_l, at_r = slice(a, b - k + 1), slice(a - d, b - d - k + 1)
-        prod = _window_sums(left[:, a:b] * shifted[:, a - d : b - d], k)
-        cov = prod - sum_l[:, at_l] * sum_r[:, at_r] / n
-        scores[d - lo, :, at_l] = cov / np.sqrt(var_l_n[:, at_l] * var_r_n[:, at_r])
+        band = c[1:, a + 1 : b + 1]
+        c[1:, a] = 0.0
+        np.multiply(left[:rows, a:b], shifted[:rows, a - d : b - d], out=band)
+        np.cumsum(band, axis=0, out=band)
+        np.cumsum(band, axis=1, out=band)
+        i, j = np.searchsorted(xs, (a, b - k + 1))
+        t, u = top[i:j], bottom[i:j]
+        prod = cf[u + k] - cf[t + k] - cf[u] + cf[t]
+        r = at_win[i:j] - d
+        cov = prod - sl[i:j] * sum_r[r] / n
+        s = cov / np.sqrt(vl[i:j] * var_r_n[r])
 
-    best_score = np.full(sum_l.shape, -np.inf)
-    best_delta = np.zeros(sum_l.shape, dtype=np.int64)
-    for d in deltas:  # already in tie-break order; strict '>' keeps the first best
-        s = scores[d - lo]
-        better = s > best_score
-        best_score[better] = s[better]
-        best_delta[better] = d
-    matched = textured & (best_score >= min_score)
+        # a higher score wins; an equal one only from a smaller |delta|, then
+        # the negative one.  The offsets ascend, so every best so far has
+        # delta < d, and that means |delta| > |d| exactly when delta < -|d|
+        # (never for the initial delta 0).
+        bs, bd = best_score[i:j], best_delta[i:j]
+        np.copyto(above[i:j], s, where=bd == d - 1)
+        better = (s > bs) | ((s == bs) & (bd < -abs(d)))
+        np.copyto(bs, s, where=better)
+        np.copyto(bd, d, where=better)
+        np.copyto(below[i:j], prev[i:j], where=better)
+        np.copyto(above[i:j], -np.inf, where=better)
+        prev[i:j] = s
+    matched = best_score >= min_score
 
     result = shift_px + best_delta.astype(float)
     if subpixel:
-        offs = np.zeros(sum_l.shape)
-        idx = best_delta - lo
-        has_nb = matched & (best_delta > lo) & (best_delta < hi)
-        ys, xs = np.nonzero(has_nb)
-        if ys.size:
-            s0 = scores[idx[ys, xs], ys, xs]
-            sm = scores[idx[ys, xs] - 1, ys, xs]
-            sp = scores[idx[ys, xs] + 1, ys, xs]
-            denom = sm - 2.0 * s0 + sp
-            valid = np.isfinite(sm) & np.isfinite(sp) & (denom < -_VAR_EPS)
-            frac = np.zeros_like(s0)
-            frac[valid] = 0.5 * (sm[valid] - sp[valid]) / denom[valid]
-            offs[ys, xs] = np.clip(frac, -0.5, 0.5)
+        offs = np.zeros(xs.size)
+        has_nb = matched & (best_delta > lo) & (best_delta < reach)
+        s0, sm, sp = best_score[has_nb], below[has_nb], above[has_nb]
+        denom = sm - 2.0 * s0 + sp
+        valid = np.isfinite(sm) & np.isfinite(sp) & (denom < -_VAR_EPS)
+        frac = np.zeros_like(s0)
+        frac[valid] = 0.5 * (sm[valid] - sp[valid]) / denom[valid]
+        offs[has_nb] = np.clip(frac, -0.5, 0.5)
         result = result + offs
 
-    disparity[half : h - half, half : w - half][matched] = result[matched]
+    disparity[ys[matched] + half, xs[matched] + half] = result[matched]
     return DisparityMap(disparity, window_px)
 
 

@@ -56,6 +56,17 @@ def test_merge_voxel_thinning_keeps_first():
     assert out.xyz[1].tolist() == [20.0, 0.0, 0.0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 400), side=st.integers(1, 40))
+def test_merge_voxel_thinning_keeps_first_point_of_each_voxel(seed, n, side):
+    rng = np.random.default_rng(seed)
+    # whole-number points on a small lattice share voxels and sit on their edges
+    xyz = rng.integers(-side, side + 1, size=(n, 3)).astype(float)
+    out = merge([make_cloud(xyz[: n // 2]), make_cloud(xyz[n // 2 :])], voxel_mm=3.0)
+    _, first = np.unique(np.floor(xyz / 3.0), axis=0, return_index=True)
+    assert np.array_equal(out.xyz, xyz[np.sort(first)])
+
+
 def test_accuracy_identity_cloud():
     scene = load_scene("room 4000 3000 2500 50 seed 2")
     cloud = make_cloud(scene.xyz, intensity=scene.intensity)

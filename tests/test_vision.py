@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereorig.geometry import CameraIntrinsics, depth_resolution_mm
 from stereorig.scene import RangeReading, RigPose, load_scene, render_stereo_pair
@@ -153,6 +156,124 @@ def test_match_equals_direct_ncc_reference(true_disp, shift, window, search):
         assert np.array_equal(np.isfinite(got), np.isfinite(ref))
         assert np.isfinite(ref).any() == (shift < 20)
         assert np.abs(got - ref)[np.isfinite(ref)].max(initial=0.0) <= 1e-9
+
+
+def _cube_ncc(left, right, shift_px, window_px, search_range_px, min_score, min_texture, subpixel):
+    """Reference matcher: a full score cube over every offset and window, then
+    a tie-break pass in (|delta|, delta) order, keeping the first best."""
+    h, w = left.shape
+    k, half, n = window_px, window_px // 2, float(window_px * window_px)
+
+    def sums(img):
+        c = np.zeros((img.shape[0] + 1, img.shape[1] + 1))
+        np.cumsum(np.cumsum(img, axis=0), axis=1, out=c[1:, 1:])
+        return c[k:, k:] - c[:-k, k:] - c[k:, :-k] + c[:-k, :-k]
+
+    disparity = np.full((h, w), np.nan)
+    reach = min(search_range_px, w - k)
+    deltas = [
+        d for d in sorted(range(-reach, reach + 1), key=lambda d: (abs(d), d)) if shift_px + d >= 0
+    ]
+    if not deltas or h < k or abs(shift_px) >= w:
+        return disparity
+    shifted = shift_image(right, shift_px)
+    sum_l = sums(left)
+    var_l_n = sums(left * left) - sum_l * sum_l / n
+    sum_r = sums(shifted)
+    var_r_n = sums(shifted * shifted) - sum_r * sum_r / n
+    textured = np.sqrt(np.maximum(var_l_n / n, 0.0)) >= min_texture
+    var_l_n[var_l_n <= 1e-12] = np.nan
+    var_r_n[var_r_n <= 1e-12] = np.nan
+
+    lo, hi = min(deltas), max(deltas)
+    scores = np.full((hi - lo + 1,) + sum_l.shape, -np.inf)
+    for d in deltas:
+        a, b = max(d, 0), min(w + d, w)
+        at_l, at_r = slice(a, b - k + 1), slice(a - d, b - d - k + 1)
+        prod = sums(left[:, a:b] * shifted[:, a - d : b - d])
+        cov = prod - sum_l[:, at_l] * sum_r[:, at_r] / n
+        scores[d - lo, :, at_l] = cov / np.sqrt(var_l_n[:, at_l] * var_r_n[:, at_r])
+
+    best_score = np.full(sum_l.shape, -np.inf)
+    best_delta = np.zeros(sum_l.shape, dtype=np.int64)
+    for d in deltas:
+        better = scores[d - lo] > best_score
+        best_score[better] = scores[d - lo][better]
+        best_delta[better] = d
+    matched = textured & (best_score >= min_score)
+
+    result = shift_px + best_delta.astype(float)
+    if subpixel:
+        offs = np.zeros(sum_l.shape)
+        idx = best_delta - lo
+        ys, xs = np.nonzero(matched & (best_delta > lo) & (best_delta < hi))
+        if ys.size:
+            s0 = scores[idx[ys, xs], ys, xs]
+            sm = scores[idx[ys, xs] - 1, ys, xs]
+            sp = scores[idx[ys, xs] + 1, ys, xs]
+            denom = sm - 2.0 * s0 + sp
+            valid = np.isfinite(sm) & np.isfinite(sp) & (denom < -1e-12)
+            frac = np.zeros_like(s0)
+            frac[valid] = 0.5 * (sm[valid] - sp[valid]) / denom[valid]
+            offs[ys, xs] = np.clip(frac, -0.5, 0.5)
+        result = result + offs
+    disparity[half : h - half, half : w - half][matched] = result[matched]
+    return disparity
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra_h=st.integers(-1, 12),
+    extra_w=st.integers(-1, 20),
+    period=st.integers(1, 4),
+    true_disp=st.integers(0, 6),
+    window=st.sampled_from([3, 5, 7, 9]),
+    shift=st.one_of(st.integers(-3, 6), st.integers(-32, 32)),
+    search=st.one_of(st.integers(0, 34), st.just(10**9)),
+    min_score=st.sampled_from([-1.0, 0.0, 0.6, 1.0]),
+    min_texture=st.sampled_from([0.0, 0.02, 0.2, 1.0]),
+    flat=st.booleans(),
+    subpixel=st.booleans(),
+)
+def test_match_equals_cube_matcher(
+    seed, extra_h, extra_w, period, true_disp, window, shift, search, min_score, min_texture,
+    flat, subpixel,
+):
+    h, w = window + extra_h, window + extra_w
+    # values on a 1/4 grid keep every window sum exact, and a short horizontal
+    # period repeats windows, so scores tie exactly across offsets: the right
+    # panel is the left one moved by true_disp, and every alias of that
+    # disparity scores the same, on both sides of zero
+    rng = np.random.default_rng(seed)
+    left = np.tile(rng.integers(0, 5, size=(h, period)), -(-w // period))[:, :w] / 4.0
+    right = np.tile(rng.integers(0, 5, size=(h, period)), -(-w // period))[:, :w] / 4.0
+    t = min(true_disp, w)
+    right[:, : w - t] = left[:, t:]
+    if flat:
+        left[: h // 2, : w // 2] = 0.5
+        right[h // 3 :, w // 3 :] = 0.25
+    ref = _cube_ncc(left, right, shift, window, search, min_score, min_texture, subpixel)
+    got = match_correlation(
+        left, right, shift, window_px=window, search_range_px=search, min_score=min_score,
+        min_texture=min_texture, subpixel=subpixel,
+    ).disparity
+    assert np.array_equal(got, ref, equal_nan=True)
+
+
+def test_match_memory_does_not_grow_with_search_range():
+    rng = np.random.default_rng(5)
+    left, right = rng.random((120, 160)), rng.random((120, 160))
+
+    def peak(search):
+        tracemalloc.start()
+        try:
+            match_correlation(left, right, 0, search_range_px=search)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10**9) <= 1.25 * peak(8)
 
 
 def test_match_rendered_single_point():
