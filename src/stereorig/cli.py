@@ -71,7 +71,7 @@ def cmd_scan(config: RunConfig, values: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_plan(config: RunConfig, values: dict) -> int:
+def cmd_plan(config: RunConfig) -> int:
     fov = horizontal_fov_deg(config.intrinsics)
     increments = rotation_schedule(fov, config.policy.overlap_fraction)
     headings = [sum(increments[:i]) for i in range(len(increments))]
@@ -136,7 +136,8 @@ def cmd_match(args, config: RunConfig) -> int:
         )
     left = left_raw.astype(float) / float(np.iinfo(left_raw.dtype).max)
     right = right_raw.astype(float) / float(np.iinfo(right_raw.dtype).max)
-    vision = dataclasses.replace(config.vision, window_px=args.window, search_range_px=args.search)
+    flags = {"window_px": args.window, "search_range_px": args.search}
+    vision = dataclasses.replace(config.vision, **{k: v for k, v in flags.items() if v is not None})
     disp = match_correlation(left, right, args.shift, **dataclasses.asdict(vision))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -186,39 +187,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--left", required=True, type=Path)
     p_match.add_argument("--right", required=True, type=Path)
     p_match.add_argument("--shift", type=int, default=0)
-    p_match.add_argument("--search", type=int, default=8)
-    p_match.add_argument("--window", type=int, default=7)
+    # unset, these take vision.search_range_px and vision.window_px from the config
+    p_match.add_argument("--search", type=int, default=None)
+    p_match.add_argument("--window", type=int, default=None)
     p_match.add_argument("--baseline-mm", type=float, default=100.0)
     p_match.add_argument("--config", type=Path, default=None)
     p_match.add_argument("--out", type=Path, default=Path("."))
     return parser
 
 
-def _default_config() -> tuple[RunConfig, dict]:
-    values = parse_config("")
-    return build_config(values), values
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.config is None:  # only calibrate and match may omit --config
+            values = parse_config("")
+            config = build_config(values)
+        else:
+            seed = _seed_override() if args.command in ("scan", "plan") else None
+            config, values = load_config(args.config, seed_override=seed)
         if args.command == "scan":
-            config, values = load_config(args.config, seed_override=_seed_override())
             return cmd_scan(config, values, args.out)
         if args.command == "plan":
-            config, values = load_config(args.config, seed_override=_seed_override())
-            return cmd_plan(config, values)
+            return cmd_plan(config)
         if args.command == "calibrate":
-            if args.config is not None:
-                config, _ = load_config(args.config)
-            else:
-                config, _ = _default_config()
             return cmd_calibrate(args.data, config.calibration.baseline_mm_per_pulse)
         if args.command == "match":
-            if args.config is not None:
-                config, _ = load_config(args.config)
-            else:
-                config, _ = _default_config()
             return cmd_match(args, config)
         raise AssertionError(f"unhandled command {args.command}")
     except (

@@ -36,25 +36,23 @@ _PLY_HEADER = (
 
 @dataclass(eq=False)
 class PointCloud:
-    """Reconstructed points with per-point intensity and capture provenance."""
+    """Reconstructed points with per-point intensity."""
 
     xyz: np.ndarray
     intensity: np.ndarray
-    heading_index: np.ndarray
 
     def __post_init__(self) -> None:
         self.xyz = np.asarray(self.xyz, dtype=float).reshape(-1, 3)
         self.intensity = np.asarray(self.intensity, dtype=float).reshape(-1)
-        self.heading_index = np.asarray(self.heading_index, dtype=np.int32).reshape(-1)
         n = self.xyz.shape[0]
-        if self.intensity.shape[0] != n or self.heading_index.shape[0] != n:
-            raise ValueError("xyz, intensity and heading_index must have equal lengths")
+        if self.intensity.shape[0] != n:
+            raise ValueError("xyz and intensity must have equal lengths")
         if n and not np.isfinite(self.xyz).all():
             raise ValueError("cloud coordinates must be finite")
 
     @classmethod
     def empty(cls) -> "PointCloud":
-        return cls(np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=np.int32))
+        return cls(np.zeros((0, 3)), np.zeros(0))
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
@@ -81,7 +79,6 @@ def merge(fragments, voxel_mm: float | None = None) -> PointCloud:
         return PointCloud.empty()
     xyz = np.concatenate([f.xyz for f in fragments])
     intensity = np.concatenate([f.intensity for f in fragments])
-    heading = np.concatenate([f.heading_index for f in fragments])
     if voxel_mm is not None:
         if voxel_mm <= 0.0:
             raise ValueError("voxel_mm must be > 0")
@@ -93,8 +90,8 @@ def merge(fragments, voxel_mm: float | None = None) -> PointCloud:
         first = np.ones(order.size, dtype=bool)
         first[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
         keep = np.sort(order[first])
-        xyz, intensity, heading = xyz[keep], intensity[keep], heading[keep]
-    return PointCloud(xyz, intensity, heading)
+        xyz, intensity = xyz[keep], intensity[keep]
+    return PointCloud(xyz, intensity)
 
 
 # coarse-to-fine grid search: the first cell is radius / _STEP**_LEVELS and
@@ -223,7 +220,7 @@ def export_ply(cloud: PointCloud) -> bytes:
 
 
 def import_ply(data: bytes) -> PointCloud:
-    """Read a PLY produced by :func:`export_ply` (provenance is not stored)."""
+    """Read a PLY produced by :func:`export_ply`."""
     text = data.decode("ascii")
     head, sep, body = text.partition("end_header\n")
     if not sep:
@@ -243,4 +240,4 @@ def import_ply(data: bytes) -> PointCloud:
     values = np.array([[float(t) for t in row.split()] for row in rows], dtype=float).reshape(
         n, 4
     )
-    return PointCloud(values[:, :3] * 1000.0, values[:, 3], np.zeros(n, dtype=np.int32))
+    return PointCloud(values[:, :3] * 1000.0, values[:, 3])

@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .geometry import CameraIntrinsics
+from .geometry import CameraIntrinsics, horizontal_fov_deg
 from .mechanics import ActuationCalibration
-from .planner import CapturePolicy, TargetDisparity, TargetRatio
+from .planner import CapturePolicy, TargetDisparity, TargetRatio, rotation_schedule
 
 __all__ = [
     "ConfigError",
@@ -54,7 +54,6 @@ class RunConfig:
     policy: CapturePolicy
     vision: VisionParams
     scene_path: Path | None
-    seed: int = 0
     with_error: bool = False
     blob_radius_px: float = 2.0
     cone_half_angle_deg: float = 20.0
@@ -166,6 +165,8 @@ def build_config(values: dict[str, object], base_dir: Path | None = None) -> Run
             baseline_min_mm=values["policy.baseline_min_mm"],
             baseline_max_mm=values["policy.baseline_max_mm"],
         )
+        # refuse a schedule over the capture cap before a scan allocates anything
+        rotation_schedule(horizontal_fov_deg(intrinsics), policy.overlap_fraction)
         vision = VisionParams(
             window_px=values["vision.window_px"],
             search_range_px=values["vision.search_range_px"],
@@ -195,7 +196,6 @@ def build_config(values: dict[str, object], base_dir: Path | None = None) -> Run
         policy=policy,
         vision=vision,
         scene_path=scene_path,
-        seed=int(values["seed"]),
         with_error=bool(values["with_error"]),
         blob_radius_px=float(values["scan.blob_radius_px"]),
         cone_half_angle_deg=float(values["scan.cone_half_angle_deg"]),

@@ -71,9 +71,6 @@ class ActuationCalibration:
     pwm_freq_hz: float = 1333.0
     pwm_duty: float = 0.33
     systematic_scale_error: float = 0.03
-    # optional additive Gaussian actuation noise, off by default
-    baseline_noise_std_mm: float = 0.0
-    rotation_noise_std_deg: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("baseline_mm_per_pulse", "rotation_deg_per_pulse", "pwm_freq_hz"):
@@ -86,9 +83,6 @@ class ActuationCalibration:
             raise ValueError(
                 f"|systematic_scale_error| must be < 0.5, got {self.systematic_scale_error!r}"
             )
-        for name in ("baseline_noise_std_mm", "rotation_noise_std_deg"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
 
     def rate_for(self, axis: Axis) -> float:
         return self.baseline_mm_per_pulse if axis is Axis.BASELINE else self.rotation_deg_per_pulse
@@ -192,7 +186,6 @@ def apply_command(
     cmd: PwmCommand,
     cal: ActuationCalibration,
     with_error: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> RigState:
     """Advance the rig state by one pulse train.
 
@@ -204,24 +197,14 @@ def apply_command(
     if with_error:
         displacement *= 1.0 + cal.systematic_scale_error
     if cmd.axis is Axis.BASELINE:
-        if cal.baseline_noise_std_mm > 0.0:
-            displacement += _draw_noise(rng, cal.baseline_noise_std_mm)
         raw = state.baseline_mm + displacement
         clamped = min(max(raw, state.baseline_min_mm), state.baseline_max_mm)
         return replace(state, baseline_mm=clamped, saturated=clamped != raw)
-    if cal.rotation_noise_std_deg > 0.0:
-        displacement += _draw_noise(rng, cal.rotation_noise_std_deg)
     return replace(
         state,
         cumulative_rotation_deg=state.cumulative_rotation_deg + displacement,
         saturated=False,
     )
-
-
-def _draw_noise(rng: np.random.Generator | None, std: float) -> float:
-    if rng is None:
-        raise ValueError("actuation noise is enabled but no rng was supplied")
-    return float(rng.normal(0.0, std))
 
 
 def full_turn_done(state: RigState) -> bool:
@@ -232,7 +215,7 @@ def full_turn_done(state: RigState) -> bool:
 def calibrate_scale(commanded_mm, measured_mm) -> float:
     """Least-squares scale factor through the origin: sum(c*m) / sum(c*c).
 
-    Exact on noiseless multiplicative-error data; inverting the estimate
+    Exact when the scale is the only error; inverting the estimate
     recovers the commanded motion.
     """
     commanded = np.asarray(commanded_mm, dtype=float)

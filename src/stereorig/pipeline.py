@@ -48,7 +48,7 @@ def scan(
 
     fragments = []
     visible = np.zeros(len(scene), dtype=bool)
-    for i, (pair, shot) in enumerate(zip(pairs, shots)):
+    for pair, shot in zip(pairs, shots):
         shift = compensation_shift(
             RangeReading(shot.range_mm, config.cone_half_angle_deg),
             pair.baseline_mm,
@@ -57,9 +57,7 @@ def scan(
         disp = match_correlation(
             pair.left, pair.right, 0 if shift is None else shift, **asdict(config.vision)
         )
-        depth = depth_map_from_disparity(
-            disp, pair.baseline_mm, config.intrinsics, heading_deg=pair.heading_deg, heading_index=i
-        )
+        depth = depth_map_from_disparity(disp, pair.baseline_mm, config.intrinsics)
         fragments.append(back_project(depth, RigPose(pair.heading_deg), intensities=pair.left))
         visible |= pair.visible_mask
 

@@ -45,7 +45,11 @@ __all__ = [
     "step",
     "run_scan",
     "format_shot_log",
+    "MAX_CAPTURES_PER_TURN",
 ]
+
+# a scan renders and keeps one stereo pair per schedule entry
+MAX_CAPTURES_PER_TURN = 360
 
 
 class ScanStateError(RuntimeError):
@@ -147,7 +151,9 @@ def rotation_schedule(fov_deg: float, overlap_fraction: float) -> list[float]:
 
     The step is fov * (1 - overlap); the last increment is trimmed so the
     increments sum to exactly one turn, which keeps the wraparound pair
-    overlapping at least as much as consecutive ones.
+    overlapping at least as much as consecutive ones.  A step that needs
+    more than ``MAX_CAPTURES_PER_TURN`` increments is refused before the
+    list is built.
     """
     if not 0.0 < fov_deg < 180.0:
         raise ValueError(f"fov_deg must lie in (0, 180), got {fov_deg!r}")
@@ -155,7 +161,13 @@ def rotation_schedule(fov_deg: float, overlap_fraction: float) -> list[float]:
         raise ValueError(f"overlap_fraction must lie in [0, 1), got {overlap_fraction!r}")
     step_deg = fov_deg * (1.0 - overlap_fraction)
     # tolerate float noise at exact divisions (e.g. 60 * (1 - 0.9) < 6)
-    count = math.ceil(360.0 / step_deg - 1e-9)
+    steps = 360.0 / step_deg - 1e-9
+    if steps > MAX_CAPTURES_PER_TURN:
+        raise ValueError(
+            f"a {step_deg:g} deg step (fov {fov_deg:g} deg, overlap {overlap_fraction:g}) "
+            f"needs more than {MAX_CAPTURES_PER_TURN} captures per turn"
+        )
+    count = math.ceil(steps)
     closing = 360.0 - (count - 1) * step_deg
     return [step_deg] * (count - 1) + [closing]
 

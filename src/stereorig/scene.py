@@ -157,7 +157,6 @@ class StereoPair:
     truth_disparity: np.ndarray
     heading_deg: float
     baseline_mm: float
-    intrinsics: CameraIntrinsics
     visible_mask: np.ndarray
 
 
@@ -248,13 +247,11 @@ def range_reading(
     scene: Scene,
     pose: RigPose,
     cone_half_angle_deg: float,
-    noise_std_mm: float = 0.0,
-    rng: np.random.Generator | None = None,
 ) -> RangeReading:
     """Nearest scene point within the sensing cone about the boresight.
 
-    Ideal cone-minimum sensor with an optional additive Gaussian term;
-    readings outside the sensor window come back as no-return.
+    Ideal cone-minimum sensor; readings outside the sensor window come
+    back as no-return.
     """
     if not 0.0 < cone_half_angle_deg <= 45.0:
         raise ValueError(f"cone_half_angle_deg must lie in (0, 45], got {cone_half_angle_deg!r}")
@@ -266,10 +263,6 @@ def range_reading(
     if not in_cone.any():
         return RangeReading(None, cone_half_angle_deg)
     distance = float(ranges[in_cone].min())
-    if noise_std_mm > 0.0:
-        if rng is None:
-            raise ValueError("range noise is enabled but no rng was supplied")
-        distance += float(rng.normal(0.0, noise_std_mm))
     if not SENSOR_MIN_MM <= distance <= SENSOR_MAX_MM:
         return RangeReading(None, cone_half_angle_deg)
     return RangeReading(distance, cone_half_angle_deg)
@@ -368,6 +361,5 @@ def render_stereo_pair(
         truth_disparity=truth,
         heading_deg=pose.heading_deg,
         baseline_mm=float(baseline_mm),
-        intrinsics=intrinsics,
         visible_mask=visible,
     )

@@ -35,10 +35,9 @@ _VAR_EPS = 1e-12  # windows with (n * variance) below this cannot be scored
 
 @dataclass(eq=False)
 class DisparityMap:
-    """Per-pixel disparity (NaN where unmatched) and the window that scored it."""
+    """Per-pixel disparity (NaN where unmatched)."""
 
     disparity: np.ndarray
-    window_px: int
 
     @property
     def matched_count(self) -> int:
@@ -50,7 +49,6 @@ class DepthMap:
     """Per-pixel distance in mm (NaN where unknown) with capture metadata."""
 
     depth_mm: np.ndarray
-    baseline_mm: float
     intrinsics: CameraIntrinsics
     heading_deg: float = 0.0
     heading_index: int = 0
@@ -161,7 +159,7 @@ def match_correlation(
     lo = max(-reach, -shift_px)  # a negative total disparity is not searched
     # a compensation shift of a whole width leaves no right-panel content to score
     if lo > reach or h < k or abs(shift_px) >= w:
-        return DisparityMap(disparity, window_px)
+        return DisparityMap(disparity)
 
     # Statistics are in window coordinates: [y, x] is the window whose top-left
     # pixel is (y, x).  Each panel's sums are taken once; an offset only gathers.
@@ -172,7 +170,7 @@ def match_correlation(
     # windows that an offset covers are one contiguous run
     xs, ys = np.nonzero(textured.T)
     if not xs.size:
-        return DisparityMap(disparity, window_px)
+        return DisparityMap(disparity)
     shifted = shift_image(right, shift_px)
     sum_r = _window_sums(shifted, k)
     var_r_n = _window_sums(shifted * shifted, k) - sum_r * sum_r / n
@@ -242,7 +240,7 @@ def match_correlation(
         result = result + offs
 
     disparity[ys[matched] + half, xs[matched] + half] = result[matched]
-    return DisparityMap(disparity, window_px)
+    return DisparityMap(disparity)
 
 
 def depth_map_from_disparity(
@@ -259,7 +257,6 @@ def depth_map_from_disparity(
     depth[ok] = intrinsics.focal_px * baseline_mm / d[ok]
     return DepthMap(
         depth_mm=depth,
-        baseline_mm=float(baseline_mm),
         intrinsics=intrinsics,
         heading_deg=float(heading_deg),
         heading_index=int(heading_index),
@@ -304,7 +301,7 @@ def back_project(
     """Lift every finite-depth pixel into the world frame.
 
     ``intensities`` (typically the reference panel) supplies per-point
-    intensity; the fragment records the capture's heading index.
+    intensity.
     """
     mask = np.isfinite(depth.depth_mm)
     vs, us = np.nonzero(mask)
@@ -317,5 +314,4 @@ def back_project(
         intensity = np.asarray(intensities, dtype=float)[mask]
     else:
         intensity = np.ones(us.size)
-    heading = np.full(us.size, depth.heading_index, dtype=np.int32)
-    return PointCloud(xyz, intensity, heading)
+    return PointCloud(xyz, intensity)

@@ -237,9 +237,7 @@ def test_criterion_8_end_to_end_reconstruction(scan_out):
         truth_disp = INTR.focal_px * pair.baseline_mm / depth
         z_back = INTR.focal_px * pair.baseline_mm / truth_disp
         xyz = pixel_to_world(u, v, z_back, INTR, pair.heading_deg)
-        fragments.append(
-            PointCloud(xyz, np.ones(len(pts)), np.zeros(len(pts), dtype=np.int32))
-        )
+        fragments.append(PointCloud(xyz, np.ones(len(pts))))
     from stereorig.cloud import merge
 
     bypass_cloud = merge(fragments)

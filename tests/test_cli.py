@@ -233,6 +233,42 @@ def test_match_size_mismatch_exits_2(tmp_path):
     assert code == 2
 
 
+def test_match_takes_window_and_search_from_config(tmp_path):
+    scene = load_scene(DEMO_SCENE)
+    pair = render_stereo_pair(scene, RigPose(0.0), 100.0, CameraIntrinsics(FOV60_FOCAL, 256, 192))
+    (tmp_path / "l.pgm").write_bytes(image_to_pgm_bytes(pair.left))
+    (tmp_path / "r.pgm").write_bytes(image_to_pgm_bytes(pair.right))
+    (tmp_path / "v.cfg").write_text(
+        "vision.window_px = 11\nvision.search_range_px = 0\n", encoding="utf-8"
+    )
+
+    def disparity(name, *flags):
+        pgms = ["--left", str(tmp_path / "l.pgm"), "--right", str(tmp_path / "r.pgm")]
+        out = tmp_path / name
+        assert main(["match", *pgms, "--shift", "9", *flags, "--out", str(out)]) == 0
+        return (out / "disparity.pgm").read_bytes()
+
+    from_config = disparity("cfg", "--config", str(tmp_path / "v.cfg"))
+    assert from_config == disparity("flags", "--window", "11", "--search", "0")
+    assert from_config != disparity("defaults")
+    # a flag the user gives still overrides the config's value
+    assert disparity("mixed", "--config", str(tmp_path / "v.cfg"), "--search", "8") == disparity(
+        "flags8", "--window", "11", "--search", "8"
+    )
+
+
+@pytest.mark.parametrize("focal_px", ["1e6", "1e12"])
+@pytest.mark.parametrize("command", ["plan", "scan"])
+def test_capture_cap_exits_2_before_allocating(demo_dir, capsys, command, focal_px):
+    cfg = demo_dir / "run.cfg"
+    cfg.write_text(DEMO_CONFIG.replace(repr(FOV60_FOCAL), focal_px), encoding="utf-8")
+    out = demo_dir / "out"
+    argv = [command, "--config", str(cfg)] + (["--out", str(out)] if command == "scan" else [])
+    assert main(argv) == 2
+    assert "captures per turn" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--window", "4"), ("--search", "-1")])
 def test_match_bad_vision_params_exit_2(tmp_path, flag, value):
     img = image_to_pgm_bytes(np.zeros((8, 8)))

@@ -9,12 +9,11 @@ from stereorig.cloud import PointCloud, accuracy_report, export_ply, import_ply,
 from stereorig.scene import Scene, load_scene
 
 
-def make_cloud(xyz, intensity=None, heading=0):
+def make_cloud(xyz, intensity=None):
     xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
-    n = xyz.shape[0]
     if intensity is None:
-        intensity = np.full(n, 0.5)
-    return PointCloud(xyz, intensity, np.full(n, heading, dtype=np.int32))
+        intensity = np.full(xyz.shape[0], 0.5)
+    return PointCloud(xyz, intensity)
 
 
 def test_merge_single_fragment_identity():
@@ -31,18 +30,17 @@ def test_merge_empty_fragments():
 
 def test_merge_preserves_order_and_counts():
     rng = np.random.default_rng(0)
-    a = make_cloud(rng.normal(size=(100, 3)), heading=0)
-    b = make_cloud(rng.normal(size=(150, 3)), heading=1)
+    a = make_cloud(rng.normal(size=(100, 3)))
+    b = make_cloud(rng.normal(size=(150, 3)))
     out = merge([a, b])
     assert len(out) == 250
     assert np.array_equal(out.xyz[:100], a.xyz)
     assert np.array_equal(out.xyz[100:], b.xyz)
-    assert out.heading_index[:100].tolist() == [0] * 100
 
 
 def test_merge_associative_up_to_order():
     rng = np.random.default_rng(1)
-    frags = [make_cloud(rng.normal(size=(20, 3)), heading=i) for i in range(3)]
+    frags = [make_cloud(rng.normal(size=(20, 3))) for _ in range(3)]
     left = merge([merge(frags[:2]), frags[2]])
     right = merge([frags[0], merge(frags[1:])])
     assert sorted(map(tuple, left.xyz.tolist())) == sorted(map(tuple, right.xyz.tolist()))
@@ -141,9 +139,9 @@ def test_export_distinguishes_clouds():
 
 def test_cloud_validation():
     with pytest.raises(ValueError):
-        PointCloud(np.zeros((2, 3)), np.zeros(1), np.zeros(2, dtype=np.int32))
+        PointCloud(np.zeros((2, 3)), np.zeros(1))
     with pytest.raises(ValueError):
-        PointCloud(np.array([[np.nan, 0, 0]]), np.zeros(1), np.zeros(1, dtype=np.int32))
+        PointCloud(np.array([[np.nan, 0, 0]]), np.zeros(1))
 
 
 def test_accuracy_rejects_bad_radius():

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from stereorig.config import (
+    _SCHEMA,
     ConfigError,
     VisionParams,
     build_config,
@@ -8,7 +11,9 @@ from stereorig.config import (
     manifest_lines,
     parse_config,
 )
-from stereorig.planner import TargetDisparity, TargetRatio
+from stereorig.geometry import CameraIntrinsics
+from stereorig.mechanics import ActuationCalibration
+from stereorig.planner import CapturePolicy, TargetDisparity, TargetRatio
 
 
 def test_defaults_resolve():
@@ -69,6 +74,9 @@ def test_out_of_range_values_rejected():
         with pytest.raises(ConfigError, match="blob_radius_px"):
             build_config(parse_config(f"scan.blob_radius_px = {radius}"))
     assert build_config(parse_config("scan.blob_radius_px = 16")).blob_radius_px == 16.0
+    for focal in ("1e6", "1e12"):
+        with pytest.raises(ConfigError, match="captures per turn"):
+            build_config(parse_config(f"intrinsics.focal_px = {focal}"))
 
 
 FLOAT_KEYS = [key for key, default in parse_config("").items() if isinstance(default, float)]
@@ -99,8 +107,7 @@ def test_missing_scene_file_rejected(tmp_path):
 
 def test_seed_override(tmp_path):
     (tmp_path / "run.cfg").write_text("seed = 5\n", encoding="utf-8")
-    config, values = load_config(tmp_path / "run.cfg", seed_override=99)
-    assert config.seed == 99
+    _, values = load_config(tmp_path / "run.cfg", seed_override=99)
     assert values["seed"] == 99
 
 
@@ -116,3 +123,19 @@ def test_vision_params_validation():
         VisionParams(window_px=4)
     with pytest.raises(ConfigError):
         VisionParams(search_range_px=-1)
+
+
+@pytest.mark.parametrize(
+    "section, cls",
+    [
+        ("calibration", ActuationCalibration),
+        ("vision", VisionParams),
+        ("intrinsics", CameraIntrinsics),
+        ("policy", CapturePolicy),
+    ],
+)
+def test_every_field_has_a_config_key(section, cls):
+    # a field no config key can set is a dead knob; policy.mode and
+    # policy.target together set CapturePolicy.mode
+    fields = [f.name for f in dataclasses.fields(cls) if (section, f.name) != ("policy", "mode")]
+    assert [name for name in fields if f"{section}.{name}" not in _SCHEMA] == []

@@ -238,12 +238,3 @@ def test_rig_state_validation():
         RigState(baseline_mm=1000.0)
     with pytest.raises(ValueError):
         RigState(baseline_min_mm=300.0, baseline_max_mm=30.0)
-
-
-def test_noise_requires_rng():
-    cal = ActuationCalibration(baseline_noise_std_mm=0.5)
-    cmd = PwmCommand(Axis.BASELINE, Direction.OPEN, 2, cal.pwm_freq_hz, cal.pwm_duty)
-    with pytest.raises(ValueError):
-        apply_command(RigState(), cmd, cal)
-    out = apply_command(RigState(), cmd, cal, rng=np.random.default_rng(7))
-    assert out.baseline_mm != 110.0

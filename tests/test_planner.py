@@ -6,6 +6,7 @@ import pytest
 from stereorig.geometry import CameraIntrinsics, horizontal_fov_deg
 from stereorig.mechanics import ActuationCalibration, RigState
 from stereorig.planner import (
+    MAX_CAPTURES_PER_TURN,
     CapturePolicy,
     ScanState,
     ScanStateError,
@@ -74,6 +75,16 @@ def test_schedule_domain_errors():
         rotation_schedule(180.0, 0.3)
     with pytest.raises(ValueError):
         rotation_schedule(60.0, 1.0)
+
+
+def test_schedule_capture_cap():
+    assert len(rotation_schedule(360.0 / MAX_CAPTURES_PER_TURN, 0.0)) == MAX_CAPTURES_PER_TURN
+    with pytest.raises(ValueError, match="captures per turn"):
+        rotation_schedule(0.999 * 360.0 / MAX_CAPTURES_PER_TURN, 0.0)
+    with pytest.raises(ValueError, match="captures per turn"):
+        rotation_schedule(1e-300, 0.9)  # refused before the list is built
+    default = CameraIntrinsics(focal_px=280.0, image_width_px=320, image_height_px=240)
+    assert len(rotation_schedule(horizontal_fov_deg(default), 0.3)) == 9
 
 
 def test_idle_step_performs_ranging():

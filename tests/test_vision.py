@@ -350,9 +350,9 @@ def test_depth_map_examples():
     assert math.isnan(depth.depth_mm[0, 0])  # sentinel propagates
 
 
-def make_depth(shape, value, baseline=0.0, heading=0.0):
+def make_depth(shape, value, heading=0.0):
     d = np.full(shape, np.nan)
-    return d, DepthMap(depth_mm=d, baseline_mm=baseline, intrinsics=INTR, heading_deg=heading)
+    return d, DepthMap(depth_mm=d, intrinsics=INTR, heading_deg=heading)
 
 
 def test_back_project_center_pixel_heading_zero():
@@ -383,15 +383,14 @@ def test_back_project_empty():
     assert len(back_project(depth, RigPose(0.0))) == 0
 
 
-def test_back_project_carries_intensity_and_heading_index():
+def test_back_project_carries_intensity():
     d = np.full((96, 128), np.nan)
     d[10, 20] = 1500.0
-    depth = DepthMap(depth_mm=d, baseline_mm=100.0, intrinsics=INTR, heading_index=4)
+    depth = DepthMap(depth_mm=d, intrinsics=INTR)
     img = np.zeros((96, 128))
     img[10, 20] = 0.75
     frag = back_project(depth, RigPose(0.0), intensities=img)
     assert frag.intensity[0] == 0.75
-    assert frag.heading_index[0] == 4
 
 
 def test_pixel_to_world_inverts_projection():
@@ -410,7 +409,7 @@ def test_end_to_end_disparity_and_depth_on_room():
     shift = compensation_shift(RangeReading(1500.0, 10.0), baseline, ROOM_INTR)
     disp = match_correlation(pair.left, pair.right, shift_px=shift, search_range_px=8)
     covered = np.isfinite(pair.truth_disparity)
-    half = disp.window_px // 2
+    half = 7 // 2  # match_correlation's default window
     interior = np.zeros_like(covered)
     interior[half:-half, half:-half] = True
     denom = covered & interior
