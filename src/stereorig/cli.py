@@ -28,7 +28,7 @@ from .mechanics import (
     pulses_for_rotation,
     pwm_timing,
 )
-from .pgm import PgmError, image_to_pgm_bytes, read_pgm, write_pgm
+from .pgm import PgmError, image_to_pgm_bytes, read_pgm_intensity, write_pgm
 from .pipeline import scan
 from .planner import format_shot_log, rotation_schedule
 from .scene import SceneParseError, load_scene
@@ -128,14 +128,10 @@ def cmd_calibrate(data_path: Path, rate_mm_per_pulse: float) -> int:
 def cmd_match(args, config: RunConfig) -> int:
     if not 0.0 < args.baseline_mm < math.inf:
         raise ConfigError(f"--baseline-mm must be finite and > 0, got {args.baseline_mm}")
-    left_raw = read_pgm(args.left)
-    right_raw = read_pgm(args.right)
-    if left_raw.shape != right_raw.shape:
-        raise ConfigError(
-            f"image sizes differ: {left_raw.shape[::-1]} vs {right_raw.shape[::-1]}"
-        )
-    left = left_raw.astype(float) / float(np.iinfo(left_raw.dtype).max)
-    right = right_raw.astype(float) / float(np.iinfo(right_raw.dtype).max)
+    left = read_pgm_intensity(args.left)
+    right = read_pgm_intensity(args.right)
+    if left.shape != right.shape:
+        raise ConfigError(f"image sizes differ: {left.shape[::-1]} vs {right.shape[::-1]}")
     flags = {"window_px": args.window, "search_range_px": args.search}
     vision = dataclasses.replace(config.vision, **{k: v for k, v in flags.items() if v is not None})
     disp = match_correlation(left, right, args.shift, **dataclasses.asdict(vision))

@@ -104,6 +104,9 @@ _PAIR_CHUNK = 1 << 16  # (target, candidate) pairs scored at once
 # stay normal floats
 _KEY_BITS = 20
 _MIN_CELL_MM = 1e-150
+# coordinates are at most this far from the origin, so every difference of
+# two and its square stay finite
+_MAX_ABS_MM = 1e150
 # a cell's 27-cell block holds every point within (1 - _SLACK) * cell even
 # after the rounding of the key arithmetic
 _SLACK = 2.0**-30
@@ -170,11 +173,16 @@ def accuracy_report(
     A candidate scene point (restricted by ``visible_mask`` when the caller
     knows which points any capture could see) counts as recovered when some
     cloud point lies within the match radius; rmse and median are taken
-    over the recovered points' nearest-match distances.
+    over the recovered points' nearest-match distances.  A scored scene
+    point or a cloud point farther than 1e150 mm from the origin along any
+    axis raises ValueError, since the distance arithmetic would overflow.
     """
     if not match_radius_mm > 0.0:
         raise ValueError("match_radius_mm must be > 0")
     targets = scene.xyz if visible_mask is None else scene.xyz[np.asarray(visible_mask, bool)]
+    for name, xyz in (("scene", targets), ("cloud", cloud.xyz)):
+        if np.abs(xyz).max(initial=0.0) > _MAX_ABS_MM:
+            raise ValueError(f"{name} coordinates must lie within ±{_MAX_ABS_MM:g} mm to be scored")
     n_candidates = targets.shape[0]
     if n_candidates == 0 or len(cloud) == 0:
         return AccuracyReport(0.0, float("nan"), float("nan"), n_candidates, 0, match_radius_mm)

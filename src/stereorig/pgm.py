@@ -9,7 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PgmError", "read_pgm", "write_pgm", "image_to_pgm_bytes", "pgm_bytes_to_image"]
+__all__ = [
+    "PgmError",
+    "read_pgm",
+    "read_pgm_intensity",
+    "write_pgm",
+    "image_to_pgm_bytes",
+    "pgm_bytes_to_image",
+]
 
 
 class PgmError(ValueError):
@@ -66,8 +73,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def pgm_bytes_to_image(data: bytes) -> np.ndarray:
-    """Decode binary P5 bytes; returns uint8 or uint16 (native order) rows."""
+def _decode(data: bytes) -> tuple[np.ndarray, int]:
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
         raise PgmError(f"not a binary PGM (magic {magic!r})")
@@ -88,9 +94,23 @@ def pgm_bytes_to_image(data: bytes) -> np.ndarray:
     if len(raster) != expected:
         raise PgmError(f"raster truncated: expected {expected} bytes, got {len(raster)}")
     out = np.frombuffer(raster, dtype=dtype).reshape(h, w)
-    return out.astype(np.uint16) if maxval > 255 else out
+    if out.max() > maxval:
+        raise PgmError(f"sample {out.max()} exceeds maxval {maxval}")
+    return (out.astype(np.uint16) if maxval > 255 else out), maxval
+
+
+def pgm_bytes_to_image(data: bytes) -> np.ndarray:
+    """Decode binary P5 bytes; returns uint8 or uint16 (native order) rows."""
+    return _decode(data)[0]
 
 
 def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         return pgm_bytes_to_image(fh.read())
+
+
+def read_pgm_intensity(path) -> np.ndarray:
+    """Read a P5 file as floats in [0, 1]: each sample over the file's own maxval."""
+    with open(path, "rb") as fh:
+        raster, maxval = _decode(fh.read())
+    return raster / float(maxval)

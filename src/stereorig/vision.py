@@ -96,12 +96,75 @@ def compensation_shift(
     return int(math.floor(d + 0.5))
 
 
-def _window_sums(img: np.ndarray, k: int) -> np.ndarray:
-    """Sum over every full k x k window: entry [y, x] covers ``img[y:y+k, x:x+k]``."""
-    h, w = img.shape
-    c = np.zeros((h + 1, w + 1))
-    np.cumsum(np.cumsum(img, axis=0), axis=1, out=c[1:, 1:])
-    return c[k:, k:] - c[:-k, k:] - c[k:, :-k] + c[:-k, :-k]
+def _window_sums(panels: np.ndarray, k: int) -> np.ndarray:
+    """Sum over every full k x k window of each panel of a (T, h, w) stack.
+
+    Entry [t, y, x] covers ``panels[t, y:y+k, x:x+k]``.
+    """
+    t, h, w = panels.shape
+    c = np.zeros((t, h + 1, w + 1))
+    np.cumsum(np.cumsum(panels, axis=1), axis=2, out=c[:, 1:, 1:])
+    return c[:, k:, k:] - c[:, :-k, k:] - c[:, k:, :-k] + c[:, :-k, :-k]
+
+
+def _right_stats(panels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window sums and n * variance of each panel; a flat window's variance is NaN."""
+    sums = _window_sums(panels, k)
+    var_n = _window_sums(panels * panels, k) - sums * sums / float(k * k)
+    var_n[var_n <= _VAR_EPS] = np.nan  # a flat window cannot be scored
+    return sums, var_n
+
+
+def _patches(panel: np.ndarray, ty: np.ndarray, x: np.ndarray, tile_h: int, h: int, w: int):
+    """Stack of ``panel[ty[i] * tile_h : ty[i] * tile_h + h, x[i] : x[i] + w]`` over i.
+
+    A single patch is returned as a view.  More are gathered from a strided
+    view of the panel, so only the patches themselves are copied.
+    """
+    if ty.size == 1:
+        y0, x0 = int(ty[0]) * tile_h, int(x[0])
+        return panel[None, y0 : y0 + h, x0 : x0 + w]
+    rs, cs = panel.strides
+    shape = ((panel.shape[0] - h) // tile_h + 1, panel.shape[1] - w + 1, h, w)
+    view = np.lib.stride_tricks.as_strided(panel, shape, (tile_h * rs, cs, rs, cs), writeable=False)
+    return view[ty, x]
+
+
+# Edge of the window tiles that the matcher computes on when the textured
+# windows are sparse; a power of two, so a window's tile is a shift away.
+_TILE_BITS = 4
+_TILE = 1 << _TILE_BITS
+# The tile layout is taken only when its tiles, halo included, cost less than
+# the plane: one tile pixel counts for this many plane pixels, since each
+# offset gathers the tile's right-panel patch and its prefix sums run along
+# rows only 16 + k - 1 long.  Timed on the 54 pairs of the three benchmark
+# workloads at seeds 3 and 7, the tiles won below about 0.7 of the plane's
+# area and lost above 0.8.
+_TILE_COST = 1.5
+
+
+def _tile_layout(ys: np.ndarray, xs: np.ndarray, k: int, w: int):
+    """The tiles of the window grid that the matcher computes on.
+
+    ``ys``, ``xs`` are the textured windows.  Returns the tile size, the
+    tile grid's shape, each tile's row and column, listed in column order
+    so that the tiles an offset covers are one contiguous run, and each
+    window's tile.  Windows below the last textured row are never read, so
+    no tile covers them.  The whole grid is one tile unless the 16 x 16
+    tiles that hold a textured window cost less than it.
+    """
+    grid_h, grid_w = int(ys.max()) + 1, w - k + 1
+    shape = (-(-grid_h // _TILE), -(-grid_w // _TILE))
+    cell = (ys >> _TILE_BITS) * shape[1] + (xs >> _TILE_BITS)  # each window's tile
+    kept = np.zeros(shape, dtype=bool)
+    kept.ravel()[cell] = True
+    tile_tx, tile_ty = np.nonzero(kept.T)
+    if tile_tx.size * (_TILE + k - 1) ** 2 * _TILE_COST < (grid_h + k - 1) * w:
+        tile_id = np.zeros(kept.size, dtype=np.int64)
+        tile_id[tile_ty * shape[1] + tile_tx] = np.arange(tile_tx.size)
+        return _TILE, _TILE, shape, tile_ty, tile_tx, tile_id[cell]
+    origin = np.zeros(1, dtype=np.int64)
+    return grid_h, grid_w, (1, 1), origin, origin, np.zeros(ys.size, dtype=np.int64)
 
 
 def match_correlation(
@@ -139,6 +202,15 @@ def match_correlation(
     match, so only they are scored.  The offsets are walked once, keeping
     a running best and the scores either side of it, so memory does not
     grow with ``search_range_px``.
+
+    Each offset's product and its prefix sums are taken per tile of the
+    window grid.  When the textured windows are sparse, the tiles are the
+    16 x 16 ones that hold a textured window, each with a k - 1 halo, and
+    the right panel's window sums are taken only on the tiles within the
+    search reach of them, unless those cover the plane.  Otherwise the whole
+    grid is one tile and every sum is taken over the plane.  A prefix sum's
+    origin moves with the layout, so the two layouts can differ in the last
+    bits of a score.
     """
     left = _require_image("left", left)
     right = _require_image("right", right)
@@ -162,34 +234,76 @@ def match_correlation(
         return DisparityMap(disparity)
 
     # Statistics are in window coordinates: [y, x] is the window whose top-left
-    # pixel is (y, x).  Each panel's sums are taken once; an offset only gathers.
-    sum_l = _window_sums(left, k)
-    var_l_n = _window_sums(left * left, k) - sum_l * sum_l / n  # n * variance
+    # pixel is (y, x).  The left panel's sums are taken once over the plane.
+    sum_l = _window_sums(left[None], k)[0]
+    var_l_n = _window_sums((left * left)[None], k)[0] - sum_l * sum_l / n  # n * variance
     textured = np.sqrt(np.maximum(var_l_n / n, 0.0)) >= min_texture
     # only a textured window can match; they are taken in column order, so the
     # windows that an offset covers are one contiguous run
     xs, ys = np.nonzero(textured.T)
     if not xs.size:
         return DisparityMap(disparity)
-    shifted = shift_image(right, shift_px)
-    sum_r = _window_sums(shifted, k)
-    var_r_n = _window_sums(shifted * shifted, k) - sum_r * sum_r / n
     # a flat window cannot be scored; its NaN score never wins a comparison
     var_l_n[var_l_n <= _VAR_EPS] = np.nan
-    var_r_n[var_r_n <= _VAR_EPS] = np.nan
-    at_win = ys * sum_l.shape[1] + xs
-    sl, vl = sum_l.ravel()[at_win], var_l_n.ravel()[at_win]
-    sum_r, var_r_n = sum_r.ravel(), var_r_n.ravel()
+    at_l = ys * sum_l.shape[1] + xs
+    sl, vl = sum_l.ravel()[at_l], var_l_n.ravel()[at_l]
+    # freed before the right panel's planes are made, to keep the peak down
+    del sum_l, var_l_n, textured
 
-    # One prefix-sum buffer serves every offset.  Offset d's product band
-    # (left columns a:b) has its prefix sums at columns a..b, with column a
-    # zeroed as the origin, so window x reads its corners at columns x and
-    # x + k whatever the offset.  Rows below the last textured window's are
-    # never read, and dropping them changes no prefix value.
-    rows = int(ys.max()) + k
-    c = np.zeros((rows + 1, w + 1))
+    tile_h, tile_w, (grid_th, grid_tw), tile_ty, tile_tx, win_tile = _tile_layout(ys, xs, k, w)
+    grid_w = w - k + 1
+    th, tw = tile_h + k - 1, tile_w + k - 1  # a tile's pixels, halo included
+    plane_h, plane_w = grid_th * tile_h, grid_tw * tile_w  # the tiled window grid
+    x0 = tile_tx * tile_w
+    # The panels cut to the tiled grid and zero-padded where it overhangs them,
+    # the right one moved by the compensation shift.  A tile is computed at an
+    # offset only if one of its windows is in range there, so its right-panel
+    # patch lies at most _TILE - 1 columns outside the panel: the right one is
+    # padded that much either side.
+    pad = _TILE - 1
+    rows = min(h, plane_h + k - 1)
+    lp = left[:rows]
+    if lp.shape != (plane_h + k - 1, plane_w + k - 1):
+        lp = np.zeros((plane_h + k - 1, plane_w + k - 1))
+        lp[:rows, :w] = left[:rows]
+    left_tiles = _patches(lp, tile_ty, x0, tile_h, th, tw)
+    rp = np.zeros((plane_h + k - 1, plane_w + k - 1 + 2 * pad))
+    rp[:rows, pad : pad + w] = shift_image(right[:rows], shift_px)
+
+    # The right panel's window sums are read only on the tiles that some offset
+    # pairs with a tile of the layout: a tile's windows x pair with windows
+    # x - d, lo <= d <= reach, of its own tile row.  They are taken on those
+    # tiles alone, a row's worth at a time so that their buffers do not grow
+    # with the search range, unless the tiles, halo included, are no smaller
+    # than the plane; then one pass over the plane costs less.
+    first = np.maximum(x0 - reach, 0) // tile_w
+    last = np.minimum(x0 + tile_w - 1 - lo, grid_w - 1) // tile_w
+    need = np.zeros((grid_th, grid_tw + 1), dtype=np.int64)
+    np.add.at(need, (tile_ty, first), 1)
+    np.add.at(need, (tile_ty, last + 1), -1)
+    need_ty, need_tx = np.nonzero(np.cumsum(need, axis=1)[:, :grid_tw] > 0)
+    if need_ty.size * th * tw >= rp.shape[0] * (plane_w + k - 1):
+        sum_r, var_r_n = _right_stats(rp[None, :, pad : pad + plane_w + k - 1], k)
+    else:
+        sum_r = np.empty((grid_th, tile_h, grid_tw, tile_w))
+        var_r_n = np.empty_like(sum_r)
+        for c0 in range(0, need_ty.size, grid_tw):
+            at = need_ty[c0 : c0 + grid_tw], need_tx[c0 : c0 + grid_tw]
+            stats = _right_stats(_patches(rp, at[0], at[1] * tile_w + pad, tile_h, th, tw), k)
+            sum_r[at[0], :, at[1]], var_r_n[at[0], :, at[1]] = stats
+    sum_r, var_r_n = sum_r.ravel(), var_r_n.ravel()
+    at_r = ys * plane_w + xs
+
+    # One prefix-sum buffer per tile serves every offset.  Offset d's product
+    # (left columns a:b, tile-local columns ca:cb) has its prefix sums at
+    # columns ca..cb, with column ca zeroed as the origin, so window x reads
+    # its corners at local columns x and x + k whatever the offset.
+    c = np.zeros((tile_tx.size, th + 1, tw + 1))
     cf = c.ravel()
-    top, bottom = ys * (w + 1) + xs, (ys + k) * (w + 1) + xs
+    # flat index of each tile's window (0, 0), less the tile's grid origin
+    origin = np.arange(tile_tx.size) * c[0].size - tile_ty * tile_h * (tw + 1) - x0
+    top = origin[win_tile] + ys * (tw + 1) + xs
+    bottom = top + k * (tw + 1)
 
     best_score = np.full(xs.size, -np.inf)
     best_delta = np.zeros(xs.size, dtype=np.int64)
@@ -201,15 +315,21 @@ def match_correlation(
     for d in range(lo, reach + 1):
         # left columns a:b pair with shifted-panel columns a-d:b-d
         a, b = max(d, 0), min(w + d, w)
-        band = c[1:, a + 1 : b + 1]
-        c[1:, a] = 0.0
-        np.multiply(left[:rows, a:b], shifted[:rows, a - d : b - d], out=band)
-        np.cumsum(band, axis=0, out=band)
-        np.cumsum(band, axis=1, out=band)
         i, j = np.searchsorted(xs, (a, b - k + 1))
+        if i == j:
+            continue
+        t0, t1 = np.searchsorted(tile_tx, (a // tile_w, (b - k) // tile_w + 1))
+        ca, cb = max(a - x0[t1 - 1], 0), min(b - x0[t0], tw)
+        # tile t's patch is right-panel columns x0 + ca - d : x0 + cb - d
+        patch = _patches(rp, tile_ty[t0:t1], x0[t0:t1] + ca + pad - d, tile_h, th, cb - ca)
+        band = c[t0:t1, 1:, ca + 1 : cb + 1]
+        c[t0:t1, 1:, ca] = 0.0
+        np.multiply(left_tiles[t0:t1, :, ca:cb], patch, out=band)
+        np.cumsum(band, axis=1, out=band)
+        np.cumsum(band, axis=2, out=band)
         t, u = top[i:j], bottom[i:j]
         prod = cf[u + k] - cf[t + k] - cf[u] + cf[t]
-        r = at_win[i:j] - d
+        r = at_r[i:j] - d
         cov = prod - sl[i:j] * sum_r[r] / n
         s = cov / np.sqrt(vl[i:j] * var_r_n[r])
 

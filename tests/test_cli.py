@@ -233,6 +233,43 @@ def test_match_size_mismatch_exits_2(tmp_path):
     assert code == 2
 
 
+def test_match_scales_each_panel_by_its_own_maxval(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    levels = rng.integers(0, 16, size=(40, 64))  # samples of a maxval-15 file
+    right = np.zeros_like(levels)
+    right[:, :-3] = levels[:, 3:]
+
+    def pgm(raster, maxval):
+        h, w = raster.shape
+        body = raster.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+        return f"P5\n{w} {h}\n{maxval}\n".encode("ascii") + body
+
+    # the same intensities at three maxvals; the left and right files differ in theirs
+    pairs = {"15": (pgm(levels, 15), pgm(right * 17, 255)),
+             "255": (pgm(levels * 17, 255), pgm(right * 4369, 65535)),
+             "65535": (pgm(levels * 4369, 65535), pgm(right, 15))}
+    outputs = {}
+    for name, (left_pgm, right_pgm) in pairs.items():
+        (tmp_path / f"{name}_L.pgm").write_bytes(left_pgm)
+        (tmp_path / f"{name}_R.pgm").write_bytes(right_pgm)
+        argv = ["match", "--left", str(tmp_path / f"{name}_L.pgm"),
+                "--right", str(tmp_path / f"{name}_R.pgm"), "--shift", "0", "--out",
+                str(tmp_path / name)]
+        assert main(argv) == 0
+        stats = capsys.readouterr().out.split()
+        outputs[name] = (stats[stats.index("matched_px") + 1],
+                         (tmp_path / name / "disparity.pgm").read_bytes())
+    assert int(outputs["15"][0]) > 0
+    assert outputs["15"] == outputs["255"] == outputs["65535"]
+
+
+def test_match_sample_above_maxval_exits_2(tmp_path):
+    (tmp_path / "l.pgm").write_bytes(b"P5\n2 1\n15\n\x07\x10")
+    (tmp_path / "r.pgm").write_bytes(image_to_pgm_bytes(np.zeros((1, 2))))
+    code = main(["match", "--left", str(tmp_path / "l.pgm"), "--right", str(tmp_path / "r.pgm")])
+    assert code == 2
+
+
 def test_match_takes_window_and_search_from_config(tmp_path):
     scene = load_scene(DEMO_SCENE)
     pair = render_stereo_pair(scene, RigPose(0.0), 100.0, CameraIntrinsics(FOV60_FOCAL, 256, 192))

@@ -151,6 +151,21 @@ def test_accuracy_rejects_bad_radius():
             accuracy_report(PointCloud.empty(), scene, match_radius_mm=radius)
 
 
+def test_accuracy_rejects_coordinates_whose_differences_overflow():
+    far = Scene(np.array([[1.5e308, 0.0, 0.0, 0.5], [0.0, 0.0, 2000.0, 0.5]]))
+    near = Scene(np.array([[0.0, 0.0, 2000.0, 0.5]]))
+    with pytest.raises(ValueError, match="scene coordinates"):
+        accuracy_report(make_cloud([-1.5e308, 0.0, 0.0]), far, match_radius_mm=10.0)
+    with pytest.raises(ValueError, match="cloud coordinates"):
+        accuracy_report(make_cloud([[-1.5e308, 0.0, 0.0]]), near, match_radius_mm=10.0)
+    # a point that is not scored is not checked
+    rep = accuracy_report(make_cloud([0.0, 0.0, 2000.0]), far, 10.0, visible_mask=[False, True])
+    assert rep.n_recovered == 1
+    # the bound itself is accepted
+    edge = Scene(np.array([[1e150, 0.0, 0.0, 0.5]]))
+    assert accuracy_report(make_cloud([-1e150, 0.0, 0.0]), edge, 10.0).n_recovered == 0
+
+
 def test_accuracy_finds_nearest_point_at_room_scale():
     # the expansion |t|^2 - 2 t.c + |c|^2 cancels at room-scale coordinates
     # and once picked the farther of these two points

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from stereorig.pgm import PgmError, image_to_pgm_bytes, pgm_bytes_to_image, read_pgm, write_pgm
+from stereorig.pgm import (
+    PgmError,
+    image_to_pgm_bytes,
+    pgm_bytes_to_image,
+    read_pgm,
+    read_pgm_intensity,
+    write_pgm,
+)
 
 
 def test_round_trip_8bit(tmp_path):
@@ -48,3 +55,15 @@ def test_truncated_raster_rejected():
 def test_bad_header_field_rejected():
     with pytest.raises(PgmError):
         pgm_bytes_to_image(b"P5\ntwo 1\n255\n\x00")
+
+
+def test_intensity_is_sample_over_the_files_maxval(tmp_path):
+    for maxval, body in ((15, b"\x00\x05\x0f"), (255, b"\x00\x55\xff"), (1023, b"\x00\x00\x01\x55\x03\xff")):
+        path = tmp_path / f"{maxval}.pgm"
+        path.write_bytes(f"P5\n3 1\n{maxval}\n".encode("ascii") + body)
+        assert read_pgm_intensity(path).tolist() == [[0.0, 1 / 3, 1.0]]
+
+
+def test_sample_above_maxval_rejected():
+    with pytest.raises(PgmError, match="exceeds maxval"):
+        pgm_bytes_to_image(b"P5\n2 1\n15\n\x07\x10")

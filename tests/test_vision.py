@@ -1,11 +1,14 @@
+import contextlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stereorig import vision
 from stereorig.geometry import CameraIntrinsics, depth_resolution_mm
 from stereorig.scene import RangeReading, RigPose, load_scene, render_stereo_pair
 from stereorig.vision import (
@@ -23,6 +26,31 @@ INTR = CameraIntrinsics(focal_px=800.0, image_width_px=128, image_height_px=96)
 ROOM_INTR = CameraIntrinsics(
     focal_px=128.0 * math.sqrt(3.0), image_width_px=256, image_height_px=192
 )
+
+
+@contextlib.contextmanager
+def _layouts_taken():
+    """Record, for each matcher call, whether it took the tile layout."""
+    taken = []
+    real = vision._tile_layout
+
+    def spy(*args):
+        layout = real(*args)
+        taken.append(layout[:2] == (vision._TILE, vision._TILE))
+        return layout
+
+    with mock.patch.object(vision, "_tile_layout", spy):
+        yield taken
+
+
+def _blobs(rng, shape, count, size, values):
+    """A 0 panel with ``count`` square blobs of edge ``size`` drawn by ``values(rng, shape)``."""
+    img = np.zeros(shape)
+    for _ in range(count):
+        y = rng.integers(0, shape[0] - size + 1)
+        x = rng.integers(0, shape[1] - size + 1)
+        img[y : y + size, x : x + size] = values(rng, (size, size))
+    return img
 
 
 def test_shift_zero_is_identity():
@@ -137,24 +165,40 @@ def _reference_ncc(left, right, shift_px, window_px, search_range_px, min_score,
     return out
 
 
+# (true_disp, shift, window, search): random 12 x 20 pairs, which take the
+# single-tile layout
+_SMALL_CASES = [(3, 0, 3, 5), (3, 3, 5, 2), (2, -3, 5, 6), (5, 7, 7, 3), (4, 0, 7, 30),
+                (13, 0, 7, 30), (6, 2, 3, 8), (0, 0, 9, 0), (2, 20, 3, 4)]
+# (..., blobs): that many blobs on a 0 background of 80 x 120, which take tiles
+_BLOB_CASES = [(3, 0, 7, 5, 3), (5, 3, 5, 4, 2), (2, -2, 9, 3, 2), (4, 0, 7, 20, 4)]
+
+
 @pytest.mark.parametrize(
-    "true_disp, shift, window, search",
-    [(3, 0, 3, 5), (3, 3, 5, 2), (2, -3, 5, 6), (5, 7, 7, 3), (4, 0, 7, 30), (13, 0, 7, 30),
-     (6, 2, 3, 8), (0, 0, 9, 0), (2, 20, 3, 4)],
+    "true_disp, shift, window, search, blobs",
+    [pytest.param(*case, 0, id="-".join(map(str, case))) for case in _SMALL_CASES]
+    + [pytest.param(*case, id="-".join(map(str, case[:4])) + f"-blobs{case[4]}")
+       for case in _BLOB_CASES],
 )
-def test_match_equals_direct_ncc_reference(true_disp, shift, window, search):
+def test_match_equals_direct_ncc_reference(true_disp, shift, window, search, blobs):
     rng = np.random.default_rng(true_disp * 100 + window)
-    left = rng.random((12, 20))
-    right = rng.random((12, 20))
-    right[:, : 20 - true_disp] = left[:, true_disp:] + 0.05 * rng.random((12, 20 - true_disp))
+    if blobs:
+        left = _blobs(rng, (80, 120), blobs, 6, lambda rng, shape: rng.random(shape))
+        right = np.zeros_like(left)
+    else:
+        left, right = rng.random((12, 20)), rng.random((12, 20))
+    h, w = left.shape
+    noise = 0.05 * rng.random((h, w - true_disp))
+    right[:, : w - true_disp] = left[:, true_disp:] + noise * (left[:, true_disp:] > 0)
     for subpixel in (False, True):
         ref = _reference_ncc(left, right, shift, window, search, 0.2, subpixel)
-        got = match_correlation(
-            left, right, shift, window_px=window, search_range_px=search, min_score=0.2,
-            subpixel=subpixel,
-        ).disparity
+        with _layouts_taken() as taken:
+            got = match_correlation(
+                left, right, shift, window_px=window, search_range_px=search, min_score=0.2,
+                subpixel=subpixel,
+            ).disparity
+        assert taken == ([bool(blobs)] if shift < w else [])
         assert np.array_equal(np.isfinite(got), np.isfinite(ref))
-        assert np.isfinite(ref).any() == (shift < 20)
+        assert np.isfinite(ref).any() == (shift < w)
         assert np.abs(got - ref)[np.isfinite(ref)].max(initial=0.0) <= 1e-9
 
 
@@ -221,6 +265,46 @@ def _cube_ncc(left, right, shift_px, window_px, search_range_px, min_score, min_
     return disparity
 
 
+def _cube_case(seed, h, w, period, true_disp, flat, blobs):
+    """A pair whose values lie on a 1/4 grid, so every window sum is exact.
+
+    A short horizontal period repeats windows, so scores tie exactly across
+    offsets: the right panel is the left one moved by true_disp, and every
+    alias of that disparity scores the same, on both sides of zero.  With
+    ``blobs``, the left panel is that many such patches on a 0 background.
+    """
+    rng = np.random.default_rng(seed)
+
+    def periodic(rng, shape):
+        return np.tile(rng.integers(0, 5, size=(shape[0], period)), -(-shape[1] // period))[
+            :, : shape[1]
+        ] / 4.0
+
+    if blobs:
+        left = _blobs(rng, (h, w), blobs, 8, periodic)
+        right = np.zeros((h, w))
+    else:
+        left, right = periodic(rng, (h, w)), periodic(rng, (h, w))
+    t = min(true_disp, w)
+    right[:, : w - t] = left[:, t:]
+    if flat:
+        left[: h // 2, : w // 2] = 0.5
+        right[h // 3 :, w // 3 :] = 0.25
+    return left, right
+
+
+def _assert_equals_cube_matcher(left, right, shift, window, search, min_score, min_texture, subpixel):
+    """Match against the score-cube reference bit for bit; returns the layouts taken."""
+    ref = _cube_ncc(left, right, shift, window, search, min_score, min_texture, subpixel)
+    with _layouts_taken() as taken:
+        got = match_correlation(
+            left, right, shift, window_px=window, search_range_px=search, min_score=min_score,
+            min_texture=min_texture, subpixel=subpixel,
+        ).disparity
+    assert np.array_equal(got, ref, equal_nan=True)
+    return taken
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -235,37 +319,42 @@ def _cube_ncc(left, right, shift_px, window_px, search_range_px, min_score, min_
     min_texture=st.sampled_from([0.0, 0.02, 0.2, 1.0]),
     flat=st.booleans(),
     subpixel=st.booleans(),
+    blobs=st.sampled_from([0, 0, 1, 3]),
 )
 def test_match_equals_cube_matcher(
     seed, extra_h, extra_w, period, true_disp, window, shift, search, min_score, min_texture,
-    flat, subpixel,
+    flat, subpixel, blobs,
 ):
-    h, w = window + extra_h, window + extra_w
-    # values on a 1/4 grid keep every window sum exact, and a short horizontal
-    # period repeats windows, so scores tie exactly across offsets: the right
-    # panel is the left one moved by true_disp, and every alias of that
-    # disparity scores the same, on both sides of zero
-    rng = np.random.default_rng(seed)
-    left = np.tile(rng.integers(0, 5, size=(h, period)), -(-w // period))[:, :w] / 4.0
-    right = np.tile(rng.integers(0, 5, size=(h, period)), -(-w // period))[:, :w] / 4.0
-    t = min(true_disp, w)
-    right[:, : w - t] = left[:, t:]
-    if flat:
-        left[: h // 2, : w // 2] = 0.5
-        right[h // 3 :, w // 3 :] = 0.25
-    ref = _cube_ncc(left, right, shift, window, search, min_score, min_texture, subpixel)
-    got = match_correlation(
-        left, right, shift, window_px=window, search_range_px=search, min_score=min_score,
-        min_texture=min_texture, subpixel=subpixel,
-    ).disparity
-    assert np.array_equal(got, ref, equal_nan=True)
+    # a small pair, or blobs on an 80 x 120 panel, which can take the tile layout
+    h, w = (80, 120) if blobs else (window + extra_h, window + extra_w)
+    left, right = _cube_case(seed, h, w, period, true_disp, flat, blobs)
+    _assert_equals_cube_matcher(
+        left, right, shift, window, search, min_score, min_texture, subpixel
+    )
+
+
+def test_cube_matcher_cases_take_both_layouts():
+    taken = []
+    for seed, blobs, search in ((1, 3, 6), (2, 1, 10**9), (3, 0, 6)):
+        h, w = (80, 120) if blobs else (14, 25)
+        left, right = _cube_case(seed, h, w, 2, 3, False, blobs)
+        taken += _assert_equals_cube_matcher(left, right, 2, 7, search, 0.6, 0.02, True)
+    # patches in two corners: the tiled grid overhangs the panels at the far one
+    rng = np.random.default_rng(4)
+    left, right = np.zeros((80, 120)), np.zeros((80, 120))
+    for y, x in ((0, 0), (72, 112)):
+        left[y : y + 8, x : x + 8] = rng.integers(1, 5, size=(8, 8)) / 4.0
+    right[:, :117] = left[:, 3:]
+    taken += _assert_equals_cube_matcher(left, right, 2, 7, 6, 0.6, 0.02, True)
+    assert taken == [True, True, False, True]
 
 
 def test_match_memory_does_not_grow_with_search_range():
     rng = np.random.default_rng(5)
-    left, right = rng.random((120, 160)), rng.random((120, 160))
+    noise = rng.random((120, 160)), rng.random((120, 160))
+    sparse = _blobs(rng, (120, 160), 3, 8, lambda rng, shape: rng.random(shape))
 
-    def peak(search):
+    def peak(left, right, search):
         tracemalloc.start()
         try:
             match_correlation(left, right, 0, search_range_px=search)
@@ -273,7 +362,11 @@ def test_match_memory_does_not_grow_with_search_range():
         finally:
             tracemalloc.stop()
 
-    assert peak(10**9) <= 1.25 * peak(8)
+    # random panels take the single-tile layout, blobs on a 0 background tiles
+    for (left, right), tiled in ((noise, False), ((sparse, shift_image(sparse, -4)), True)):
+        with _layouts_taken() as taken:
+            assert peak(left, right, 10**9) <= 1.25 * peak(left, right, 8)
+        assert taken == [tiled, tiled]
 
 
 def test_match_rendered_single_point():
