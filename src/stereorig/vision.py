@@ -96,23 +96,12 @@ def compensation_shift(
     return int(math.floor(d + 0.5))
 
 
-def _window_sums(panels: np.ndarray, k: int) -> np.ndarray:
-    """Sum over every full k x k window of each panel of a (T, h, w) stack.
-
-    Entry [t, y, x] covers ``panels[t, y:y+k, x:x+k]``.
-    """
-    t, h, w = panels.shape
-    c = np.zeros((t, h + 1, w + 1))
-    np.cumsum(np.cumsum(panels, axis=1), axis=2, out=c[:, 1:, 1:])
-    return c[:, k:, k:] - c[:, :-k, k:] - c[:, k:, :-k] + c[:, :-k, :-k]
-
-
-def _right_stats(panels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window sums and n * variance of each panel; a flat window's variance is NaN."""
-    sums = _window_sums(panels, k)
-    var_n = _window_sums(panels * panels, k) - sums * sums / float(k * k)
-    var_n[var_n <= _VAR_EPS] = np.nan  # a flat window cannot be scored
-    return sums, var_n
+def _window_sums(img: np.ndarray, k: int) -> np.ndarray:
+    """Sum over every full k x k window: entry [y, x] covers ``img[y:y+k, x:x+k]``."""
+    h, w = img.shape
+    c = np.zeros((h + 1, w + 1))
+    np.cumsum(np.cumsum(img, axis=0), axis=1, out=c[1:, 1:])
+    return c[k:, k:] - c[:-k, k:] - c[k:, :-k] + c[:-k, :-k]
 
 
 def _patches(panel: np.ndarray, ty: np.ndarray, x: np.ndarray, tile_h: int, h: int, w: int):
@@ -130,6 +119,15 @@ def _patches(panel: np.ndarray, ty: np.ndarray, x: np.ndarray, tile_h: int, h: i
     return view[ty, x]
 
 
+def _padded(panel: np.ndarray, shape: tuple[int, int], pad: int) -> np.ndarray:
+    """``panel`` placed ``pad`` columns in on a 0 plane of ``shape``; itself if it fills it."""
+    if panel.shape == shape:
+        return panel
+    out = np.zeros(shape)
+    out[: panel.shape[0], pad : pad + panel.shape[1]] = panel
+    return out
+
+
 # Edge of the window tiles that the matcher computes on when the textured
 # windows are sparse; a power of two, so a window's tile is a shift away.
 _TILE_BITS = 4
@@ -138,8 +136,9 @@ _TILE = 1 << _TILE_BITS
 # the plane: one tile pixel counts for this many plane pixels, since each
 # offset gathers the tile's right-panel patch and its prefix sums run along
 # rows only 16 + k - 1 long.  Timed on the 54 pairs of the three benchmark
-# workloads at seeds 3 and 7, the tiles won below about 0.7 of the plane's
-# area and lost above 0.8.
+# workloads at seeds 3 and 7, the tiles won below about 0.8 of the plane's
+# area (by 2-18 %) and lost above 0.85 (by up to 1.7x); 1.5 puts the switch
+# at 0.67, on the side where a wrong pick costs little.
 _TILE_COST = 1.5
 
 
@@ -205,12 +204,10 @@ def match_correlation(
 
     Each offset's product and its prefix sums are taken per tile of the
     window grid.  When the textured windows are sparse, the tiles are the
-    16 x 16 ones that hold a textured window, each with a k - 1 halo, and
-    the right panel's window sums are taken only on the tiles within the
-    search reach of them, unless those cover the plane.  Otherwise the whole
-    grid is one tile and every sum is taken over the plane.  A prefix sum's
-    origin moves with the layout, so the two layouts can differ in the last
-    bits of a score.
+    16 x 16 ones that hold a textured window, each with a k - 1 halo.
+    Otherwise the whole grid is one tile.  The window sums of both panels
+    are taken over the plane either way.  A prefix sum's origin moves with
+    the layout, so the two layouts can differ in the last bits of a score.
     """
     left = _require_image("left", left)
     right = _require_image("right", right)
@@ -234,9 +231,9 @@ def match_correlation(
         return DisparityMap(disparity)
 
     # Statistics are in window coordinates: [y, x] is the window whose top-left
-    # pixel is (y, x).  The left panel's sums are taken once over the plane.
-    sum_l = _window_sums(left[None], k)[0]
-    var_l_n = _window_sums((left * left)[None], k)[0] - sum_l * sum_l / n  # n * variance
+    # pixel is (y, x).  Each panel's sums are taken once; an offset only gathers.
+    sum_l = _window_sums(left, k)
+    var_l_n = _window_sums(left * left, k) - sum_l * sum_l / n  # n * variance
     textured = np.sqrt(np.maximum(var_l_n / n, 0.0)) >= min_texture
     # only a textured window can match; they are taken in column order, so the
     # windows that an offset covers are one contiguous run
@@ -251,7 +248,6 @@ def match_correlation(
     del sum_l, var_l_n, textured
 
     tile_h, tile_w, (grid_th, grid_tw), tile_ty, tile_tx, win_tile = _tile_layout(ys, xs, k, w)
-    grid_w = w - k + 1
     th, tw = tile_h + k - 1, tile_w + k - 1  # a tile's pixels, halo included
     plane_h, plane_w = grid_th * tile_h, grid_tw * tile_w  # the tiled window grid
     x0 = tile_tx * tile_w
@@ -259,38 +255,17 @@ def match_correlation(
     # the right one moved by the compensation shift.  A tile is computed at an
     # offset only if one of its windows is in range there, so its right-panel
     # patch lies at most _TILE - 1 columns outside the panel: the right one is
-    # padded that much either side.
-    pad = _TILE - 1
+    # padded that much either side.  With one column of tiles, every tile
+    # starts at column 0 and no patch leaves the panel.
+    pad = _TILE - 1 if grid_tw > 1 else 0
     rows = min(h, plane_h + k - 1)
-    lp = left[:rows]
-    if lp.shape != (plane_h + k - 1, plane_w + k - 1):
-        lp = np.zeros((plane_h + k - 1, plane_w + k - 1))
-        lp[:rows, :w] = left[:rows]
+    lp = _padded(left[:rows], (plane_h + k - 1, plane_w + k - 1), 0)
     left_tiles = _patches(lp, tile_ty, x0, tile_h, th, tw)
-    rp = np.zeros((plane_h + k - 1, plane_w + k - 1 + 2 * pad))
-    rp[:rows, pad : pad + w] = shift_image(right[:rows], shift_px)
-
-    # The right panel's window sums are read only on the tiles that some offset
-    # pairs with a tile of the layout: a tile's windows x pair with windows
-    # x - d, lo <= d <= reach, of its own tile row.  They are taken on those
-    # tiles alone, a row's worth at a time so that their buffers do not grow
-    # with the search range, unless the tiles, halo included, are no smaller
-    # than the plane; then one pass over the plane costs less.
-    first = np.maximum(x0 - reach, 0) // tile_w
-    last = np.minimum(x0 + tile_w - 1 - lo, grid_w - 1) // tile_w
-    need = np.zeros((grid_th, grid_tw + 1), dtype=np.int64)
-    np.add.at(need, (tile_ty, first), 1)
-    np.add.at(need, (tile_ty, last + 1), -1)
-    need_ty, need_tx = np.nonzero(np.cumsum(need, axis=1)[:, :grid_tw] > 0)
-    if need_ty.size * th * tw >= rp.shape[0] * (plane_w + k - 1):
-        sum_r, var_r_n = _right_stats(rp[None, :, pad : pad + plane_w + k - 1], k)
-    else:
-        sum_r = np.empty((grid_th, tile_h, grid_tw, tile_w))
-        var_r_n = np.empty_like(sum_r)
-        for c0 in range(0, need_ty.size, grid_tw):
-            at = need_ty[c0 : c0 + grid_tw], need_tx[c0 : c0 + grid_tw]
-            stats = _right_stats(_patches(rp, at[0], at[1] * tile_w + pad, tile_h, th, tw), k)
-            sum_r[at[0], :, at[1]], var_r_n[at[0], :, at[1]] = stats
+    rp = _padded(shift_image(right[:rows], shift_px), (lp.shape[0], lp.shape[1] + 2 * pad), pad)
+    shifted = rp[:, pad : pad + lp.shape[1]]
+    sum_r = _window_sums(shifted, k)
+    var_r_n = _window_sums(shifted * shifted, k) - sum_r * sum_r / n
+    var_r_n[var_r_n <= _VAR_EPS] = np.nan
     sum_r, var_r_n = sum_r.ravel(), var_r_n.ravel()
     at_r = ys * plane_w + xs
 

@@ -305,11 +305,8 @@ def _assert_equals_cube_matcher(left, right, shift, window, search, min_score, m
     return taken
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+_CUBE_DRAWS = dict(
     seed=st.integers(0, 2**32 - 1),
-    extra_h=st.integers(-1, 12),
-    extra_w=st.integers(-1, 20),
     period=st.integers(1, 4),
     true_disp=st.integers(0, 6),
     window=st.sampled_from([3, 5, 7, 9]),
@@ -319,15 +316,30 @@ def _assert_equals_cube_matcher(left, right, shift, window, search, min_score, m
     min_texture=st.sampled_from([0.0, 0.02, 0.2, 1.0]),
     flat=st.booleans(),
     subpixel=st.booleans(),
-    blobs=st.sampled_from([0, 0, 1, 3]),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(extra_h=st.integers(-1, 12), extra_w=st.integers(-1, 20), **_CUBE_DRAWS)
 def test_match_equals_cube_matcher(
     seed, extra_h, extra_w, period, true_disp, window, shift, search, min_score, min_texture,
-    flat, subpixel, blobs,
+    flat, subpixel,
 ):
-    # a small pair, or blobs on an 80 x 120 panel, which can take the tile layout
-    h, w = (80, 120) if blobs else (window + extra_h, window + extra_w)
-    left, right = _cube_case(seed, h, w, period, true_disp, flat, blobs)
+    left, right = _cube_case(
+        seed, window + extra_h, window + extra_w, period, true_disp, flat, blobs=0
+    )
+    _assert_equals_cube_matcher(
+        left, right, shift, window, search, min_score, min_texture, subpixel
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(blobs=st.integers(1, 4), **_CUBE_DRAWS)
+def test_match_equals_cube_matcher_on_sparse_blobs(
+    seed, blobs, period, true_disp, window, shift, search, min_score, min_texture, flat, subpixel,
+):
+    # blobs on an 80 x 120 panel, which can take the tile layout
+    left, right = _cube_case(seed, 80, 120, period, true_disp, flat, blobs)
     _assert_equals_cube_matcher(
         left, right, shift, window, search, min_score, min_texture, subpixel
     )
