@@ -24,13 +24,15 @@ from .mechanics import (
     CalibrationError,
     Direction,
     PwmCommand,
+    RigState,
+    apply_command,
     calibrate_scale,
-    pulses_for_rotation,
+    full_turn_done,
     pwm_timing,
 )
 from .pgm import PgmError, image_to_pgm_bytes, read_pgm_intensity, write_pgm
 from .pipeline import scan
-from .planner import format_shot_log, rotation_schedule
+from .planner import format_shot_log, plan_rotation, rotation_schedule
 from .scene import SceneParseError, load_scene
 from .vision import depth_map_from_disparity, match_correlation
 
@@ -72,29 +74,29 @@ def cmd_scan(config: RunConfig, values: dict, out_dir: Path) -> int:
 
 
 def cmd_plan(config: RunConfig) -> int:
+    cal = config.calibration
     fov = horizontal_fov_deg(config.intrinsics)
     increments = rotation_schedule(fov, config.policy.overlap_fraction)
-    headings = [sum(increments[:i]) for i in range(len(increments))]
+    # the scan's rotations, replayed from 0 degrees with nominal actuation
+    rig, headings, lines, total_pulses = RigState(), [], [], 0
+    for i, inc in enumerate(increments):
+        headings.append(rig.heading_deg)
+        cmd, residual = plan_rotation(increments, i, rig.cumulative_rotation_deg, cal)
+        rig = apply_command(rig, cmd, cal)
+        total_pulses += cmd.pulse_count
+        lines.append(
+            f"increment {i + 1} delta_deg {_fmt(inc)} pulses {cmd.pulse_count} "
+            f"actuated_deg {_fmt(cmd.pulse_count * cal.rotation_deg_per_pulse)} "
+            f"residual_deg {_fmt(residual)}"
+        )
+        if full_turn_done(rig):
+            break
     print(f"fov_deg {_fmt(fov)}")
     print(f"overlap_fraction {_fmt(config.policy.overlap_fraction)}")
-    print(f"count {len(increments)}")
+    print(f"count {len(headings)}")
     print("headings " + " ".join(_fmt(h) for h in headings))
-    total_pulses = 0
-    for i, inc in enumerate(increments, start=1):
-        cmd, residual = pulses_for_rotation(inc, config.calibration)
-        total_pulses += cmd.pulse_count
-        actuated = cmd.pulse_count * config.calibration.rotation_deg_per_pulse
-        print(
-            f"increment {i} delta_deg {_fmt(inc)} pulses {cmd.pulse_count} "
-            f"actuated_deg {_fmt(actuated)} residual_deg {_fmt(residual)}"
-        )
-    total_cmd = PwmCommand(
-        Axis.ROTATION,
-        Direction.CW,
-        total_pulses,
-        config.calibration.pwm_freq_hz,
-        config.calibration.pwm_duty,
-    )
+    print("\n".join(lines))
+    total_cmd = PwmCommand(Axis.ROTATION, Direction.CW, total_pulses, cal.pwm_freq_hz, cal.pwm_duty)
     duration, on_time = pwm_timing(total_cmd)
     print(
         f"total_pulses {total_pulses} total_duration_s {_fmt(duration)} "

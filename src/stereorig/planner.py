@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .cloud import _fmt
@@ -41,6 +42,7 @@ __all__ = [
     "ScanController",
     "baseline_setpoint",
     "rotation_schedule",
+    "plan_rotation",
     "new_controller",
     "step",
     "run_scan",
@@ -177,27 +179,29 @@ def new_controller(policy: CapturePolicy, intrinsics: CameraIntrinsics) -> ScanC
     return ScanController(state=ScanState.IDLE, policy=policy, schedule=schedule)
 
 
-def _plan_rotation(
-    controller: ScanController, rig: RigState, cal: ActuationCalibration
-) -> PwmCommand:
-    """Rotate toward the cumulative target of the next schedule entry.
+def plan_rotation(
+    schedule: Sequence[float], index: int, cumulative_deg: float, cal: ActuationCalibration
+) -> tuple[PwmCommand, float]:
+    """Rotate from ``cumulative_deg`` toward the cumulative target of entry ``index``.
 
-    Planning against the cumulative target (not the raw increment) stops
-    quantization residuals from accumulating across the turn.  The final
-    increment rounds up instead of to nearest so the turn always completes
-    within one cycle per schedule entry.
+    Returns the command and the residual: the target minus the rotation
+    reached with nominal actuation.  Planning against the cumulative target
+    (not the raw increment) stops quantization residuals from accumulating
+    across the turn.  The final increment rounds up instead of to nearest
+    so the turn always completes within one cycle per schedule entry.
     """
-    target = sum(controller.schedule[: controller.rotation_index + 1])
-    if controller.rotation_index == len(controller.schedule) - 1:
-        target = 360.0  # the schedule sums to a full turn by construction
-        delta = target - rig.cumulative_rotation_deg
+    last = index == len(schedule) - 1
+    # the schedule sums to a full turn by construction
+    target = 360.0 if last else sum(schedule[: index + 1])
+    delta = target - cumulative_deg
+    if last:
         count = max(math.ceil(delta / cal.rotation_deg_per_pulse - 1e-9), 0)
-        return PwmCommand(Axis.ROTATION, Direction.CW, count, cal.pwm_freq_hz, cal.pwm_duty)
-    delta = target - rig.cumulative_rotation_deg
-    if delta <= 0.0:  # an earlier overshoot already passed this target
-        return PwmCommand(Axis.ROTATION, Direction.CW, 0, cal.pwm_freq_hz, cal.pwm_duty)
-    cmd, _ = pulses_for_rotation(delta, cal)
-    return cmd
+    elif delta <= 0.0:  # an earlier overshoot already passed this target
+        count = 0
+    else:
+        count = pulses_for_rotation(delta, cal)[0].pulse_count
+    cmd = PwmCommand(Axis.ROTATION, Direction.CW, count, cal.pwm_freq_hz, cal.pwm_duty)
+    return cmd, target - (cumulative_deg + count * cal.rotation_deg_per_pulse)
 
 
 def step(
@@ -256,7 +260,9 @@ def step(
         return next_controller, rig, pair
 
     # ScanState.ROTATE
-    cmd = _plan_rotation(controller, rig, cal)
+    cmd, _ = plan_rotation(
+        controller.schedule, controller.rotation_index, rig.cumulative_rotation_deg, cal
+    )
     rig = apply_command(rig, cmd, cal, with_error=with_error)
     next_state = ScanState.DONE if full_turn_done(rig) else ScanState.RANGING
     next_controller = replace(

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cloud import PointCloud
 from .geometry import CameraIntrinsics, parallax_px
@@ -104,66 +105,62 @@ def _window_sums(img: np.ndarray, k: int) -> np.ndarray:
     return c[k:, k:] - c[:-k, k:] - c[k:, :-k] + c[:-k, :-k]
 
 
-def _patches(panel: np.ndarray, ty: np.ndarray, x: np.ndarray, tile_h: int, h: int, w: int):
-    """Stack of ``panel[ty[i] * tile_h : ty[i] * tile_h + h, x[i] : x[i] + w]`` over i.
-
-    A single patch is returned as a view.  More are gathered from a strided
-    view of the panel, so only the patches themselves are copied.
-    """
-    if ty.size == 1:
-        y0, x0 = int(ty[0]) * tile_h, int(x[0])
-        return panel[None, y0 : y0 + h, x0 : x0 + w]
-    rs, cs = panel.strides
-    shape = ((panel.shape[0] - h) // tile_h + 1, panel.shape[1] - w + 1, h, w)
-    view = np.lib.stride_tricks.as_strided(panel, shape, (tile_h * rs, cs, rs, cs), writeable=False)
-    return view[ty, x]
+# The direct path is taken when the textured windows' pixels (count * k * k)
+# are fewer than this many times the plane's (rows * width).  Forced on the 54
+# pairs of the benchmark workloads at seeds 3 and 7, it took 0.33-0.61 of the
+# plane path's time at ratios 0.45-1.36, 0.81-0.85 at 2.6-2.7 and 1.02 at 3.3.
+# But it holds about 2 * ratio planes against the plane path's 3: at 2.6 it
+# added 1.7 MB to a wide-thinned scan's peak RSS to save 5 ms.
+_DIRECT_COST = 2.0
 
 
-def _padded(panel: np.ndarray, shape: tuple[int, int], pad: int) -> np.ndarray:
-    """``panel`` placed ``pad`` columns in on a 0 plane of ``shape``; itself if it fills it."""
-    if panel.shape == shape:
-        return panel
-    out = np.zeros(shape)
-    out[: panel.shape[0], pad : pad + panel.shape[1]] = panel
-    return out
+def _n_var(sums, squares, n):
+    """n * variance of windows from their sums; NaN where flat, so no score taken with it wins."""
+    n_var = squares - sums * sums / n
+    n_var[n_var <= _VAR_EPS] = np.nan
+    return n_var
 
 
-# Edge of the window tiles that the matcher computes on when the textured
-# windows are sparse; a power of two, so a window's tile is a shift away.
-_TILE_BITS = 4
-_TILE = 1 << _TILE_BITS
-# The tile layout is taken only when its tiles, halo included, cost less than
-# the plane: one tile pixel counts for this many plane pixels, since each
-# offset gathers the tile's right-panel patch and its prefix sums run along
-# rows only 16 + k - 1 long.  Timed on the 54 pairs of the three benchmark
-# workloads at seeds 3 and 7, the tiles won below about 0.8 of the plane's
-# area (by 2-18 %) and lost above 0.85 (by up to 1.7x); 1.5 puts the switch
-# at 0.67, on the side where a wrong pick costs little.
-_TILE_COST = 1.5
+def _plane_sums(left, shifted, ys, xs, k):
+    """The plane path: ``sums(d, a, b, i, j)`` gives textured windows ``i:j``'s
+    sum of L * R and the right windows' sum and :func:`_n_var` at offset d,
+    which pairs left columns ``a:b`` with shifted-panel columns ``a-d:b-d``."""
+    rows, w = shifted.shape
+    sum_r = _window_sums(shifted, k)
+    var_r_n = _n_var(sum_r, _window_sums(shifted * shifted, k), float(k * k)).ravel()
+    sum_r, at_r = sum_r.ravel(), ys * (w - k + 1) + xs
+    # One prefix-sum buffer serves every offset.  Offset d's product band has its
+    # prefix sums at columns a..b, with column a zeroed as the origin, so window
+    # x reads its corners at columns x and x + k whatever the offset.
+    c = np.zeros((rows + 1, w + 1))
+    cf = c.ravel()
+    top, bottom = ys * (w + 1) + xs, (ys + k) * (w + 1) + xs
+
+    def sums(d, a, b, i, j):
+        band = c[1:, a + 1 : b + 1]
+        c[1:, a] = 0.0
+        np.multiply(left[:, a:b], shifted[:, a - d : b - d], out=band)
+        np.cumsum(band, axis=0, out=band)
+        np.cumsum(band, axis=1, out=band)
+        t, u, r = top[i:j], bottom[i:j], at_r[i:j] - d
+        return cf[u + k] - cf[t + k] - cf[u] + cf[t], sum_r[r], var_r_n[r]
+
+    return sums
 
 
-def _tile_layout(ys: np.ndarray, xs: np.ndarray, k: int, w: int):
-    """The tiles of the window grid that the matcher computes on.
+def _direct_sums(left, shifted, ys, xs, k):
+    """The direct path: :func:`_plane_sums`' ``sums``, taken from the k x k
+    windows of the shifted panel that the textured ones meet at offset d."""
+    win_l = sliding_window_view(left, (k, k))[ys, xs].reshape(ys.size, -1)
+    win_r = sliding_window_view(shifted, (k, k))
 
-    ``ys``, ``xs`` are the textured windows.  Returns the tile size, the
-    tile grid's shape, each tile's row and column, listed in column order
-    so that the tiles an offset covers are one contiguous run, and each
-    window's tile.  Windows below the last textured row are never read, so
-    no tile covers them.  The whole grid is one tile unless the 16 x 16
-    tiles that hold a textured window cost less than it.
-    """
-    grid_h, grid_w = int(ys.max()) + 1, w - k + 1
-    shape = (-(-grid_h // _TILE), -(-grid_w // _TILE))
-    cell = (ys >> _TILE_BITS) * shape[1] + (xs >> _TILE_BITS)  # each window's tile
-    kept = np.zeros(shape, dtype=bool)
-    kept.ravel()[cell] = True
-    tile_tx, tile_ty = np.nonzero(kept.T)
-    if tile_tx.size * (_TILE + k - 1) ** 2 * _TILE_COST < (grid_h + k - 1) * w:
-        tile_id = np.zeros(kept.size, dtype=np.int64)
-        tile_id[tile_ty * shape[1] + tile_tx] = np.arange(tile_tx.size)
-        return _TILE, _TILE, shape, tile_ty, tile_tx, tile_id[cell]
-    origin = np.zeros(1, dtype=np.int64)
-    return grid_h, grid_w, (1, 1), origin, origin, np.zeros(ys.size, dtype=np.int64)
+    def sums(d, a, b, i, j):
+        r = win_r[ys[i:j], xs[i:j] - d].reshape(j - i, -1)
+        sum_r = np.einsum("ij->i", r)
+        n_var = _n_var(sum_r, np.einsum("ij,ij->i", r, r), float(k * k))
+        return np.einsum("ij,ij->i", win_l[i:j], r), sum_r, n_var
+
+    return sums
 
 
 def match_correlation(
@@ -202,12 +199,9 @@ def match_correlation(
     a running best and the scores either side of it, so memory does not
     grow with ``search_range_px``.
 
-    Each offset's product and its prefix sums are taken per tile of the
-    window grid.  When the textured windows are sparse, the tiles are the
-    16 x 16 ones that hold a textured window, each with a k - 1 halo.
-    Otherwise the whole grid is one tile.  The window sums of both panels
-    are taken over the plane either way.  A prefix sum's origin moves with
-    the layout, so the two layouts can differ in the last bits of a score.
+    Dense pairs take each offset's product and its prefix sums over the plane;
+    sparse pairs gather each textured window's k x k right-panel window at each
+    offset.  The two add in different orders, so scores can differ in the last bits.
     """
     left = _require_image("left", left)
     right = _require_image("right", right)
@@ -220,9 +214,7 @@ def match_correlation(
     shift_px = int(shift_px)
 
     h, w = left.shape
-    k = window_px
-    half = k // 2
-    n = float(k * k)
+    k, half, n = window_px, window_px // 2, float(window_px * window_px)
     disparity = np.full((h, w), np.nan)
     reach = min(search_range_px, w - k)
     lo = max(-reach, -shift_px)  # a negative total disparity is not searched
@@ -230,55 +222,23 @@ def match_correlation(
     if lo > reach or h < k or abs(shift_px) >= w:
         return DisparityMap(disparity)
 
-    # Statistics are in window coordinates: [y, x] is the window whose top-left
-    # pixel is (y, x).  Each panel's sums are taken once; an offset only gathers.
+    # statistics are in window coordinates: [y, x] is the window with top-left pixel (y, x)
     sum_l = _window_sums(left, k)
-    var_l_n = _window_sums(left * left, k) - sum_l * sum_l / n  # n * variance
-    textured = np.sqrt(np.maximum(var_l_n / n, 0.0)) >= min_texture
+    var_l_n = _n_var(sum_l, _window_sums(left * left, k), n)
+    textured = np.sqrt(var_l_n / n) >= min_texture  # never a flat window
     # only a textured window can match; they are taken in column order, so the
     # windows that an offset covers are one contiguous run
     xs, ys = np.nonzero(textured.T)
     if not xs.size:
         return DisparityMap(disparity)
-    # a flat window cannot be scored; its NaN score never wins a comparison
-    var_l_n[var_l_n <= _VAR_EPS] = np.nan
-    at_l = ys * sum_l.shape[1] + xs
-    sl, vl = sum_l.ravel()[at_l], var_l_n.ravel()[at_l]
+    sl, vl = sum_l[ys, xs], var_l_n[ys, xs]
     # freed before the right panel's planes are made, to keep the peak down
     del sum_l, var_l_n, textured
-
-    tile_h, tile_w, (grid_th, grid_tw), tile_ty, tile_tx, win_tile = _tile_layout(ys, xs, k, w)
-    th, tw = tile_h + k - 1, tile_w + k - 1  # a tile's pixels, halo included
-    plane_h, plane_w = grid_th * tile_h, grid_tw * tile_w  # the tiled window grid
-    x0 = tile_tx * tile_w
-    # The panels cut to the tiled grid and zero-padded where it overhangs them,
-    # the right one moved by the compensation shift.  A tile is computed at an
-    # offset only if one of its windows is in range there, so its right-panel
-    # patch lies at most _TILE - 1 columns outside the panel: the right one is
-    # padded that much either side.  With one column of tiles, every tile
-    # starts at column 0 and no patch leaves the panel.
-    pad = _TILE - 1 if grid_tw > 1 else 0
-    rows = min(h, plane_h + k - 1)
-    lp = _padded(left[:rows], (plane_h + k - 1, plane_w + k - 1), 0)
-    left_tiles = _patches(lp, tile_ty, x0, tile_h, th, tw)
-    rp = _padded(shift_image(right[:rows], shift_px), (lp.shape[0], lp.shape[1] + 2 * pad), pad)
-    shifted = rp[:, pad : pad + lp.shape[1]]
-    sum_r = _window_sums(shifted, k)
-    var_r_n = _window_sums(shifted * shifted, k) - sum_r * sum_r / n
-    var_r_n[var_r_n <= _VAR_EPS] = np.nan
-    sum_r, var_r_n = sum_r.ravel(), var_r_n.ravel()
-    at_r = ys * plane_w + xs
-
-    # One prefix-sum buffer per tile serves every offset.  Offset d's product
-    # (left columns a:b, tile-local columns ca:cb) has its prefix sums at
-    # columns ca..cb, with column ca zeroed as the origin, so window x reads
-    # its corners at local columns x and x + k whatever the offset.
-    c = np.zeros((tile_tx.size, th + 1, tw + 1))
-    cf = c.ravel()
-    # flat index of each tile's window (0, 0), less the tile's grid origin
-    origin = np.arange(tile_tx.size) * c[0].size - tile_ty * tile_h * (tw + 1) - x0
-    top = origin[win_tile] + ys * (tw + 1) + xs
-    bottom = top + k * (tw + 1)
+    # rows below the last textured window's are never read; cutting them changes no sum
+    rows = int(ys.max()) + k
+    shifted = shift_image(right[:rows], shift_px)
+    paired = _direct_sums if xs.size * n < _DIRECT_COST * rows * w else _plane_sums
+    sums = paired(left[:rows], shifted, ys, xs, k)
 
     best_score = np.full(xs.size, -np.inf)
     best_delta = np.zeros(xs.size, dtype=np.int64)
@@ -293,20 +253,8 @@ def match_correlation(
         i, j = np.searchsorted(xs, (a, b - k + 1))
         if i == j:
             continue
-        t0, t1 = np.searchsorted(tile_tx, (a // tile_w, (b - k) // tile_w + 1))
-        ca, cb = max(a - x0[t1 - 1], 0), min(b - x0[t0], tw)
-        # tile t's patch is right-panel columns x0 + ca - d : x0 + cb - d
-        patch = _patches(rp, tile_ty[t0:t1], x0[t0:t1] + ca + pad - d, tile_h, th, cb - ca)
-        band = c[t0:t1, 1:, ca + 1 : cb + 1]
-        c[t0:t1, 1:, ca] = 0.0
-        np.multiply(left_tiles[t0:t1, :, ca:cb], patch, out=band)
-        np.cumsum(band, axis=1, out=band)
-        np.cumsum(band, axis=2, out=band)
-        t, u = top[i:j], bottom[i:j]
-        prod = cf[u + k] - cf[t + k] - cf[u] + cf[t]
-        r = at_r[i:j] - d
-        cov = prod - sl[i:j] * sum_r[r] / n
-        s = cov / np.sqrt(vl[i:j] * var_r_n[r])
+        prod, sum_r, var_r_n = sums(d, a, b, i, j)
+        s = (prod - sl[i:j] * sum_r / n) / np.sqrt(vl[i:j] * var_r_n)
 
         # a higher score wins; an equal one only from a smaller |delta|, then
         # the negative one.  The offsets ascend, so every best so far has

@@ -60,6 +60,14 @@ def test_scan_missing_scene_exits_2(tmp_path):
     assert code == 2
 
 
+def test_scan_config_without_scene_exits_2(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text("vision.window_px = 7\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == 2
+    assert "'scene'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_unknown_key_exits_2(tmp_path):
     (tmp_path / "run.cfg").write_text("scene = s\nnot.a.key = 1\n", encoding="utf-8")
     (tmp_path / "s").write_text("p 0 0 2000 0.5\n", encoding="utf-8")
@@ -108,20 +116,43 @@ def test_scan_deterministic_bytes(demo_dir):
     assert (out_a / "shots.log").read_bytes() == (out_b / "shots.log").read_bytes()
 
 
+def _plan(config_path, capsys):
+    """Run ``stereorig plan``; returns its lines split into words."""
+    assert main(["plan", "--config", str(config_path)]) == 0
+    return [line.split() for line in capsys.readouterr().out.splitlines()]
+
+
+def _increments(by_key):
+    """(pulses, residual_deg) of each ``increment`` line."""
+    return [
+        (int(p[p.index("pulses") + 1]), float(p[p.index("residual_deg") + 1]))
+        for p in by_key
+        if p[0] == "increment"
+    ]
+
+
 def test_plan_output(demo_dir, capsys):
-    code = main(["plan", "--config", str(demo_dir / "run.cfg")])
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    by_key = [line.split() for line in lines]
+    by_key = _plan(demo_dir / "run.cfg", capsys)
     assert ["count", "9"] in by_key
+    # the headings the scan reaches: each step rounds toward a cumulative 42 k degrees
     headings = next(parts for parts in by_key if parts[0] == "headings")
-    assert headings[1:4] == ["0", "42", "84"]
-    closing = next(parts for parts in by_key if parts[:2] == ["increment", "9"])
-    # closing step of 24 degrees plans as 5 pulses, overshooting by 1 degree
-    assert closing[closing.index("pulses") + 1] == "5"
-    assert closing[closing.index("residual_deg") + 1] == "-1"
+    assert headings[1:4] == ["0", "40", "85"]
+    increments = _increments(by_key)
+    assert [pulses for pulses, _ in increments] == [8, 9, 8, 9, 8, 8, 9, 8, 5]
+    # the closing step rounds up to exactly one full turn
+    assert increments[-1] == (5, 0.0)
     total = next(parts for parts in by_key if parts[0] == "total_pulses")
-    assert int(total[1]) == 8 * 8 + 5
+    assert int(total[1]) == 72 == 360 // 5
+
+
+def test_plan_reaches_a_full_turn_through_zero_pulse_steps(tmp_path, capsys):
+    # 1.28 degree steps at 5 degrees per pulse: most steps send no pulse
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("intrinsics.focal_px = 10000\nintrinsics.image_width_px = 320\n", encoding="utf-8")
+    increments = _increments(_plan(cfg, capsys))
+    # an earlier overshoot already passed these steps' targets
+    assert any(pulses == 0 and residual < 0.0 for pulses, residual in increments)
+    assert sum(pulses for pulses, _ in increments) * 5 == 360
 
 
 def test_plan_rejects_full_overlap(tmp_path):
@@ -158,6 +189,21 @@ def test_calibrate_single_row_exits_2(tmp_path):
     data = tmp_path / "pairs.txt"
     data.write_text("10 10.3\n", encoding="utf-8")
     assert main(["calibrate", "--data", str(data)]) == 2
+
+
+@pytest.mark.parametrize("row", ["10 10 10", "10 ten", "10 nan"])
+def test_calibrate_bad_row_exits_2(tmp_path, row):
+    data = tmp_path / "pairs.txt"
+    data.write_text(f"20 20.6\n{row}\n30 30.9\n", encoding="utf-8")
+    assert main(["calibrate", "--data", str(data)]) == 2
+
+
+def test_calibrate_skips_comments_and_blank_lines(tmp_path, capsys):
+    data = tmp_path / "pairs.txt"
+    data.write_text("# commanded measured\n\n25 25.75  # first\n   \n50 51.5\n", encoding="utf-8")
+    assert main(["calibrate", "--data", str(data)]) == 0
+    out = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert float(out["scale"]) == pytest.approx(1.03, abs=1e-9)
 
 
 def test_match_identical_images_zero_disparity(tmp_path, capsys):

@@ -29,17 +29,21 @@ ROOM_INTR = CameraIntrinsics(
 
 
 @contextlib.contextmanager
-def _layouts_taken():
-    """Record, for each matcher call, whether it took the tile layout."""
+def _paths_taken():
+    """Record, for each matcher call that scores, whether it took the direct path."""
     taken = []
-    real = vision._tile_layout
 
-    def spy(*args):
-        layout = real(*args)
-        taken.append(layout[:2] == (vision._TILE, vision._TILE))
-        return layout
+    def spy(path, direct):
+        def record(*args):
+            taken.append(direct)
+            return path(*args)
 
-    with mock.patch.object(vision, "_tile_layout", spy):
+        return record
+
+    with (
+        mock.patch.object(vision, "_direct_sums", spy(vision._direct_sums, True)),
+        mock.patch.object(vision, "_plane_sums", spy(vision._plane_sums, False)),
+    ):
         yield taken
 
 
@@ -166,20 +170,22 @@ def _reference_ncc(left, right, shift_px, window_px, search_range_px, min_score,
 
 
 # (true_disp, shift, window, search): random 12 x 20 pairs, which take the
-# single-tile layout
+# plane path
 _SMALL_CASES = [(3, 0, 3, 5), (3, 3, 5, 2), (2, -3, 5, 6), (5, 7, 7, 3), (4, 0, 7, 30),
                 (13, 0, 7, 30), (6, 2, 3, 8), (0, 0, 9, 0), (2, 20, 3, 4)]
-# (..., blobs): that many blobs on a 0 background of 80 x 120, which take tiles
-_BLOB_CASES = [(3, 0, 7, 5, 3), (5, 3, 5, 4, 2), (2, -2, 9, 3, 2), (4, 0, 7, 20, 4)]
+# (..., blobs, direct): that many blobs on a 0 background of 80 x 120, and
+# whether they are sparse enough to take the direct path
+_BLOB_CASES = [(3, 0, 7, 5, 3, True), (5, 3, 5, 4, 2, True), (2, -2, 9, 3, 2, False),
+               (4, 0, 7, 20, 4, False)]
 
 
 @pytest.mark.parametrize(
-    "true_disp, shift, window, search, blobs",
-    [pytest.param(*case, 0, id="-".join(map(str, case))) for case in _SMALL_CASES]
+    "true_disp, shift, window, search, blobs, direct",
+    [pytest.param(*case, 0, False, id="-".join(map(str, case))) for case in _SMALL_CASES]
     + [pytest.param(*case, id="-".join(map(str, case[:4])) + f"-blobs{case[4]}")
        for case in _BLOB_CASES],
 )
-def test_match_equals_direct_ncc_reference(true_disp, shift, window, search, blobs):
+def test_match_equals_direct_ncc_reference(true_disp, shift, window, search, blobs, direct):
     rng = np.random.default_rng(true_disp * 100 + window)
     if blobs:
         left = _blobs(rng, (80, 120), blobs, 6, lambda rng, shape: rng.random(shape))
@@ -191,12 +197,12 @@ def test_match_equals_direct_ncc_reference(true_disp, shift, window, search, blo
     right[:, : w - true_disp] = left[:, true_disp:] + noise * (left[:, true_disp:] > 0)
     for subpixel in (False, True):
         ref = _reference_ncc(left, right, shift, window, search, 0.2, subpixel)
-        with _layouts_taken() as taken:
+        with _paths_taken() as taken:
             got = match_correlation(
                 left, right, shift, window_px=window, search_range_px=search, min_score=0.2,
                 subpixel=subpixel,
             ).disparity
-        assert taken == ([bool(blobs)] if shift < w else [])
+        assert taken == ([direct] if shift < w else [])
         assert np.array_equal(np.isfinite(got), np.isfinite(ref))
         assert np.isfinite(ref).any() == (shift < w)
         assert np.abs(got - ref)[np.isfinite(ref)].max(initial=0.0) <= 1e-9
@@ -294,9 +300,9 @@ def _cube_case(seed, h, w, period, true_disp, flat, blobs):
 
 
 def _assert_equals_cube_matcher(left, right, shift, window, search, min_score, min_texture, subpixel):
-    """Match against the score-cube reference bit for bit; returns the layouts taken."""
+    """Match against the score-cube reference bit for bit; returns the paths taken."""
     ref = _cube_ncc(left, right, shift, window, search, min_score, min_texture, subpixel)
-    with _layouts_taken() as taken:
+    with _paths_taken() as taken:
         got = match_correlation(
             left, right, shift, window_px=window, search_range_px=search, min_score=min_score,
             min_texture=min_texture, subpixel=subpixel,
@@ -338,7 +344,7 @@ def test_match_equals_cube_matcher(
 def test_match_equals_cube_matcher_on_sparse_blobs(
     seed, blobs, period, true_disp, window, shift, search, min_score, min_texture, flat, subpixel,
 ):
-    # blobs on an 80 x 120 panel, which can take the tile layout
+    # blobs on an 80 x 120 panel, which can take the direct path
     left, right = _cube_case(seed, 80, 120, period, true_disp, flat, blobs)
     _assert_equals_cube_matcher(
         left, right, shift, window, search, min_score, min_texture, subpixel
@@ -351,14 +357,14 @@ def test_cube_matcher_cases_take_both_layouts():
         h, w = (80, 120) if blobs else (14, 25)
         left, right = _cube_case(seed, h, w, 2, 3, False, blobs)
         taken += _assert_equals_cube_matcher(left, right, 2, 7, search, 0.6, 0.02, True)
-    # patches in two corners: the tiled grid overhangs the panels at the far one
+    # patches in two corners: the direct path gathers windows at the panels' edges
     rng = np.random.default_rng(4)
     left, right = np.zeros((80, 120)), np.zeros((80, 120))
     for y, x in ((0, 0), (72, 112)):
         left[y : y + 8, x : x + 8] = rng.integers(1, 5, size=(8, 8)) / 4.0
     right[:, :117] = left[:, 3:]
     taken += _assert_equals_cube_matcher(left, right, 2, 7, 6, 0.6, 0.02, True)
-    assert taken == [True, True, False, True]
+    assert taken == [False, True, False, True]
 
 
 def test_match_memory_does_not_grow_with_search_range():
@@ -374,11 +380,11 @@ def test_match_memory_does_not_grow_with_search_range():
         finally:
             tracemalloc.stop()
 
-    # random panels take the single-tile layout, blobs on a 0 background tiles
-    for (left, right), tiled in ((noise, False), ((sparse, shift_image(sparse, -4)), True)):
-        with _layouts_taken() as taken:
+    # random panels take the plane path, blobs on a 0 background the direct one
+    for (left, right), direct in ((noise, False), ((sparse, shift_image(sparse, -4)), True)):
+        with _paths_taken() as taken:
             assert peak(left, right, 10**9) <= 1.25 * peak(left, right, 8)
-        assert taken == [tiled, tiled]
+        assert taken == [direct, direct]
 
 
 def test_match_rendered_single_point():
