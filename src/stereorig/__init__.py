@@ -45,6 +45,7 @@ from .planner import (
     rotation_schedule,
     run_scan,
     step,
+    turn_pulses,
 )
 from .scene import (
     RangeReading,

@@ -19,20 +19,10 @@ import numpy as np
 from .cloud import _fmt, export_ply, format_report
 from .config import ConfigError, RunConfig, build_config, load_config, manifest_lines, parse_config
 from .geometry import horizontal_fov_deg
-from .mechanics import (
-    Axis,
-    CalibrationError,
-    Direction,
-    PwmCommand,
-    RigState,
-    apply_command,
-    calibrate_scale,
-    full_turn_done,
-    pwm_timing,
-)
+from .mechanics import Axis, CalibrationError, Direction, PwmCommand, calibrate_scale, pwm_timing
 from .pgm import PgmError, image_to_pgm_bytes, read_pgm_intensity, write_pgm
 from .pipeline import scan
-from .planner import format_shot_log, plan_rotation, rotation_schedule
+from .planner import format_shot_log, turn_pulses
 from .scene import SceneParseError, load_scene
 from .vision import depth_map_from_disparity, match_correlation
 
@@ -76,26 +66,16 @@ def cmd_scan(config: RunConfig, values: dict, out_dir: Path) -> int:
 def cmd_plan(config: RunConfig) -> int:
     cal = config.calibration
     fov = horizontal_fov_deg(config.intrinsics)
-    increments = rotation_schedule(fov, config.policy.overlap_fraction)
-    # the scan's rotations, replayed from 0 degrees with nominal actuation
-    rig, headings, lines, total_pulses = RigState(), [], [], 0
-    for i, inc in enumerate(increments):
-        headings.append(rig.heading_deg)
-        cmd, residual = plan_rotation(increments, i, rig.cumulative_rotation_deg, cal)
-        rig = apply_command(rig, cmd, cal)
-        total_pulses += cmd.pulse_count
-        lines.append(
-            f"increment {i + 1} delta_deg {_fmt(inc)} pulses {cmd.pulse_count} "
-            f"actuated_deg {_fmt(cmd.pulse_count * cal.rotation_deg_per_pulse)} "
-            f"residual_deg {_fmt(residual)}"
-        )
-        if full_turn_done(rig):
-            break
+    plan = turn_pulses(fov, config.policy.overlap_fraction, cal)
+    rate = cal.rotation_deg_per_pulse
+    headings = [sum(plan[:i]) * rate for i in range(len(plan))]
     print(f"fov_deg {_fmt(fov)}")
     print(f"overlap_fraction {_fmt(config.policy.overlap_fraction)}")
-    print(f"count {len(headings)}")
+    print(f"count {len(plan)}")
     print("headings " + " ".join(_fmt(h) for h in headings))
-    print("\n".join(lines))
+    for i, pulses in enumerate(plan):
+        print(f"increment {i + 1} pulses {pulses} actuated_deg {_fmt(pulses * rate)}")
+    total_pulses = sum(plan)
     total_cmd = PwmCommand(Axis.ROTATION, Direction.CW, total_pulses, cal.pwm_freq_hz, cal.pwm_duty)
     duration, on_time = pwm_timing(total_cmd)
     print(

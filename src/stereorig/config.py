@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .geometry import CameraIntrinsics, horizontal_fov_deg
 from .mechanics import ActuationCalibration
-from .planner import CapturePolicy, TargetDisparity, TargetRatio, rotation_schedule
+from .planner import CapturePolicy, TargetDisparity, TargetRatio, turn_pulses
 
 __all__ = [
     "ConfigError",
@@ -165,8 +165,8 @@ def build_config(values: dict[str, object], base_dir: Path | None = None) -> Run
             baseline_min_mm=values["policy.baseline_min_mm"],
             baseline_max_mm=values["policy.baseline_max_mm"],
         )
-        # refuse a schedule over the capture cap before a scan allocates anything
-        rotation_schedule(horizontal_fov_deg(intrinsics), policy.overlap_fraction)
+        # refuse a sub-pulse step or a turn over the capture cap before a scan allocates anything
+        turn_pulses(horizontal_fov_deg(intrinsics), policy.overlap_fraction, calibration)
         vision = VisionParams(
             window_px=values["vision.window_px"],
             search_range_px=values["vision.search_range_px"],

@@ -2,8 +2,9 @@
 
 One scan cycle per heading: read the rangefinder, drive the baseline
 toward the policy setpoint, capture a stereo pair, rotate to the next
-scheduled heading.  The loop ends once the base has swept a full turn,
-which the final rotation guarantees by rounding its pulse count up.
+heading.  Each rotation sends the whole pulses that :func:`turn_pulses`
+fixes from the field of view and the calibration, and the loop ends after
+the last of them, so the turn never depends on the simulator's true pose.
 
 The controller is a frozen value object: :func:`step` returns a new
 controller and rig state, so a scan is a fold over pure transitions and
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .cloud import _fmt
@@ -26,9 +26,7 @@ from .mechanics import (
     PwmCommand,
     RigState,
     apply_command,
-    full_turn_done,
     pulses_for_baseline_delta,
-    pulses_for_rotation,
 )
 from .scene import RangeReading, RigPose, Scene, StereoPair, range_reading, render_stereo_pair
 
@@ -42,7 +40,7 @@ __all__ = [
     "ScanController",
     "baseline_setpoint",
     "rotation_schedule",
-    "plan_rotation",
+    "turn_pulses",
     "new_controller",
     "step",
     "run_scan",
@@ -123,7 +121,6 @@ class ShotRecord:
 class ScanController:
     state: ScanState
     policy: CapturePolicy
-    schedule: tuple[float, ...]
     rotation_index: int = 0
     shots: tuple[ShotRecord, ...] = ()
     pending_range: float | None = None
@@ -174,34 +171,42 @@ def rotation_schedule(fov_deg: float, overlap_fraction: float) -> list[float]:
     return [step_deg] * (count - 1) + [closing]
 
 
-def new_controller(policy: CapturePolicy, intrinsics: CameraIntrinsics) -> ScanController:
-    schedule = tuple(rotation_schedule(horizontal_fov_deg(intrinsics), policy.overlap_fraction))
-    return ScanController(state=ScanState.IDLE, policy=policy, schedule=schedule)
+def turn_pulses(fov_deg: float, overlap_fraction: float, cal: ActuationCalibration) -> list[int]:
+    """Pulses sent after each capture of one turn.
 
-
-def plan_rotation(
-    schedule: Sequence[float], index: int, cumulative_deg: float, cal: ActuationCalibration
-) -> tuple[PwmCommand, float]:
-    """Rotate from ``cumulative_deg`` toward the cumulative target of entry ``index``.
-
-    Returns the command and the residual: the target minus the rotation
-    reached with nominal actuation.  Planning against the cumulative target
-    (not the raw increment) stops quantization residuals from accumulating
-    across the turn.  The final increment rounds up instead of to nearest
-    so the turn always completes within one cycle per schedule entry.
+    Every step sends p = floor(fov * (1 - overlap) / rate) pulses, so no two
+    neighbouring headings overlap by less than ``overlap_fraction``, and the
+    turn takes ceil(360 / (p * rate)) captures.  The last rotation sends the
+    whole pulses that close the turn, at most p, so the turn totals
+    ceil(360 / rate) pulses.  A step under one pulse, or a turn of more than
+    ``MAX_CAPTURES_PER_TURN`` captures, is refused before the list is built.
     """
-    last = index == len(schedule) - 1
-    # the schedule sums to a full turn by construction
-    target = 360.0 if last else sum(schedule[: index + 1])
-    delta = target - cumulative_deg
-    if last:
-        count = max(math.ceil(delta / cal.rotation_deg_per_pulse - 1e-9), 0)
-    elif delta <= 0.0:  # an earlier overshoot already passed this target
-        count = 0
-    else:
-        count = pulses_for_rotation(delta, cal)[0].pulse_count
-    cmd = PwmCommand(Axis.ROTATION, Direction.CW, count, cal.pwm_freq_hz, cal.pwm_duty)
-    return cmd, target - (cumulative_deg + count * cal.rotation_deg_per_pulse)
+    rate = cal.rotation_deg_per_pulse
+    # the degree schedule checks the domain and the captures that the step alone needs
+    step_deg = rotation_schedule(fov_deg, overlap_fraction)[0]
+    if not math.isfinite(360.0 / rate):
+        raise ValueError(f"a turn at {rate!r} deg per pulse takes too many pulses to count")
+    # tolerate float noise at exact divisions (e.g. a 42 deg step at 1 deg per pulse)
+    per_step = math.floor(step_deg / rate + 1e-9)
+    if per_step < 1:
+        raise ValueError(
+            f"a {step_deg:g} deg step (fov {fov_deg:g} deg, overlap {overlap_fraction:g}) "
+            f"is under one {rate:g} deg pulse"
+        )
+    total = math.ceil(360.0 / rate - 1e-9)
+    count = -(-total // per_step)
+    if count > MAX_CAPTURES_PER_TURN:
+        raise ValueError(
+            f"{per_step} pulse steps of {rate:g} deg need more than "
+            f"{MAX_CAPTURES_PER_TURN} captures per turn"
+        )
+    return [per_step] * (count - 1) + [total - (count - 1) * per_step]
+
+
+def new_controller(policy: CapturePolicy, intrinsics: CameraIntrinsics) -> ScanController:
+    """An idle controller.  ``intrinsics`` is not read: :func:`step` plans
+    each rotation from the intrinsics and calibration it is given."""
+    return ScanController(state=ScanState.IDLE, policy=policy)
 
 
 def step(
@@ -260,14 +265,14 @@ def step(
         return next_controller, rig, pair
 
     # ScanState.ROTATE
-    cmd, _ = plan_rotation(
-        controller.schedule, controller.rotation_index, rig.cumulative_rotation_deg, cal
-    )
+    plan = turn_pulses(horizontal_fov_deg(intrinsics), controller.policy.overlap_fraction, cal)
+    count = plan[controller.rotation_index]
+    cmd = PwmCommand(Axis.ROTATION, Direction.CW, count, cal.pwm_freq_hz, cal.pwm_duty)
     rig = apply_command(rig, cmd, cal, with_error=with_error)
-    next_state = ScanState.DONE if full_turn_done(rig) else ScanState.RANGING
+    last = controller.rotation_index == len(plan) - 1
     next_controller = replace(
         controller,
-        state=next_state,
+        state=ScanState.DONE if last else ScanState.RANGING,
         rotation_index=controller.rotation_index + 1,
         pending_range=None,
         pending_setpoint=None,

@@ -122,37 +122,40 @@ def _plan(config_path, capsys):
     return [line.split() for line in capsys.readouterr().out.splitlines()]
 
 
-def _increments(by_key):
-    """(pulses, residual_deg) of each ``increment`` line."""
-    return [
-        (int(p[p.index("pulses") + 1]), float(p[p.index("residual_deg") + 1]))
-        for p in by_key
-        if p[0] == "increment"
-    ]
-
-
 def test_plan_output(demo_dir, capsys):
     by_key = _plan(demo_dir / "run.cfg", capsys)
     assert ["count", "9"] in by_key
-    # the headings the scan reaches: each step rounds toward a cumulative 42 k degrees
+    # every step sends floor(42 / 5) = 8 whole pulses, 40 degrees
     headings = next(parts for parts in by_key if parts[0] == "headings")
-    assert headings[1:4] == ["0", "40", "85"]
-    increments = _increments(by_key)
-    assert [pulses for pulses, _ in increments] == [8, 9, 8, 9, 8, 8, 9, 8, 5]
-    # the closing step rounds up to exactly one full turn
-    assert increments[-1] == (5, 0.0)
+    assert headings[1:4] == ["0", "40", "80"]
+    pulses = [int(p[p.index("pulses") + 1]) for p in by_key if p[0] == "increment"]
+    assert pulses == [8] * 9
     total = next(parts for parts in by_key if parts[0] == "total_pulses")
     assert int(total[1]) == 72 == 360 // 5
 
 
-def test_plan_reaches_a_full_turn_through_zero_pulse_steps(tmp_path, capsys):
-    # 1.28 degree steps at 5 degrees per pulse: most steps send no pulse
+@pytest.mark.parametrize("command", ["plan", "scan"])
+def test_sub_pulse_step_exits_2(tmp_path, capsys, command):
+    # 1.28 degree steps at 5 degrees per pulse: no step can send a whole pulse
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("intrinsics.focal_px = 10000\nintrinsics.image_width_px = 320\n", encoding="utf-8")
-    increments = _increments(_plan(cfg, capsys))
-    # an earlier overshoot already passed these steps' targets
-    assert any(pulses == 0 and residual < 0.0 for pulses, residual in increments)
-    assert sum(pulses for pulses, _ in increments) * 5 == 360
+    cfg.write_text(
+        "scene = s\nintrinsics.focal_px = 10000\nintrinsics.image_width_px = 320\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "s").write_text("p 0 0 2000 0.5\n", encoding="utf-8")
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg)] + (["--out", str(out)] if command == "scan" else [])
+    assert main(argv) == 2
+    assert "under one 5 deg pulse" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/shot_*"))
+
+
+def test_rotation_rate_too_fine_to_count_exits_2(tmp_path, capsys):
+    # 360 / 1e-310 overflows a float, so no whole-pulse turn can be counted
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("calibration.rotation_deg_per_pulse = 1e-310\n", encoding="utf-8")
+    assert main(["plan", "--config", str(cfg)]) == 2
+    assert "too many pulses" in capsys.readouterr().err
 
 
 def test_plan_rejects_full_overlap(tmp_path):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stereorig.config import ConfigError, build_config, parse_config
 from stereorig.geometry import CameraIntrinsics, horizontal_fov_deg
 from stereorig.mechanics import ActuationCalibration, RigState
 from stereorig.planner import (
@@ -18,6 +21,7 @@ from stereorig.planner import (
     rotation_schedule,
     run_scan,
     step,
+    turn_pulses,
 )
 from stereorig.scene import RangeReading, load_scene
 
@@ -123,10 +127,63 @@ def test_stepping_done_controller_raises():
 
 def test_run_scan_capture_count_and_termination():
     scene = load_scene("p 0 0 2000 0.8")
-    controller = new_controller(POLICY, INTR)
     pairs, shots = run_scan(scene, POLICY, CAL, INTR)
-    assert len(pairs) == len(controller.schedule) == 9
+    plan = turn_pulses(horizontal_fov_deg(INTR), POLICY.overlap_fraction, CAL)
+    assert len(pairs) == len(plan) == 9
     assert len(shots) == 9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    focal_px=st.floats(20.0, 20000.0),
+    width_px=st.integers(16, 2000),
+    overlap=st.floats(0.0, 0.9),
+    rate=st.floats(0.01, 60.0),
+)
+def test_turn_plan_keeps_overlap_in_whole_pulses(focal_px, width_px, overlap, rate):
+    values = parse_config("")
+    values.update({
+        "intrinsics.focal_px": focal_px,
+        "intrinsics.image_width_px": width_px,
+        "policy.overlap_fraction": overlap,
+        "calibration.rotation_deg_per_pulse": rate,
+    })
+    fov = horizontal_fov_deg(CameraIntrinsics(focal_px, width_px, 240))
+    step_deg = fov * (1.0 - overlap)
+    try:
+        config = build_config(values)
+    except ConfigError:
+        # refused only for a step under one pulse or a turn over the capture cap
+        assert step_deg < rate * (1.0 + 1e-6) or 360.0 / (
+            math.floor(step_deg / rate + 1e-9) * rate
+        ) > MAX_CAPTURES_PER_TURN - 1e-6
+        return
+    plan = turn_pulses(fov, overlap, config.calibration)
+    assert len(plan) <= MAX_CAPTURES_PER_TURN
+    assert all(isinstance(p, int) and p >= 1 for p in plan)
+    # the fewest whole pulses that make a full turn
+    total = sum(plan)
+    assert total * rate >= 360.0 - 1e-6 and (total - 1) * rate < 360.0
+    headings = [sum(plan[:i]) * rate for i in range(len(plan))] + [360.0]
+    for a, b in zip(headings, headings[1:]):  # the last pair wraps around to heading 0
+        assert 1.0 - (b - a) / fov >= overlap - 1e-9
+
+
+@pytest.mark.parametrize("scale_error", [0.03, -0.03])
+def test_turn_ends_by_pulse_count_not_true_rotation(scale_error):
+    scene = load_scene("p 0 0 2000 0.8")
+    cal = ActuationCalibration(systematic_scale_error=scale_error)
+    plan = turn_pulses(horizontal_fov_deg(INTR), POLICY.overlap_fraction, cal)
+    controller, rig, captures = new_controller(POLICY, INTR), RigState(), 0
+    while controller.state is not ScanState.DONE:
+        controller, rig, pair = step(controller, rig, scene, cal, INTR, with_error=True)
+        captures += pair is not None
+    assert captures == len(plan) == len(controller.shots) == 9
+    # the rig turned by exactly the planned pulses, scaled by its actuation error
+    actuated = sum(plan) * cal.rotation_deg_per_pulse * (1.0 + scale_error)
+    assert rig.cumulative_rotation_deg == pytest.approx(actuated, abs=1e-9)
+    pairs, shots = run_scan(scene, POLICY, cal, INTR, with_error=True)
+    assert len(pairs) == len(shots) == len(plan)
 
 
 def test_run_scan_headings_with_fine_pulses():
