@@ -28,7 +28,6 @@ from .mechanics import (
     RigState,
     apply_command,
     calibrate_scale,
-    full_turn_done,
     pulses_for_baseline_delta,
     pulses_for_rotation,
     pwm_timing,

@@ -20,7 +20,7 @@ from .cloud import _fmt, export_ply, format_report
 from .config import ConfigError, RunConfig, build_config, load_config, manifest_lines, parse_config
 from .geometry import horizontal_fov_deg
 from .mechanics import Axis, CalibrationError, Direction, PwmCommand, calibrate_scale, pwm_timing
-from .pgm import PgmError, image_to_pgm_bytes, read_pgm_intensity, write_pgm
+from .pgm import PgmError, read_pgm_intensity, write_pgm
 from .pipeline import scan
 from .planner import format_shot_log, turn_pulses
 from .scene import SceneParseError, load_scene
@@ -48,18 +48,18 @@ def cmd_scan(config: RunConfig, values: dict, out_dir: Path) -> int:
         raise ConfigError("scan requires a 'scene' entry in the config")
     scene = load_scene(config.scene_path.read_text(encoding="utf-8"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    pairs, shots, cloud, report = scan(config, scene)
+    panels, shots, cloud, report = scan(config, scene)
 
-    for i, pair in enumerate(pairs):
-        (out_dir / f"shot_{i}_L.pgm").write_bytes(image_to_pgm_bytes(pair.left))
-        (out_dir / f"shot_{i}_R.pgm").write_bytes(image_to_pgm_bytes(pair.right))
+    for i, (left, right) in enumerate(panels):
+        (out_dir / f"shot_{i}_L.pgm").write_bytes(left)
+        (out_dir / f"shot_{i}_R.pgm").write_bytes(right)
     (out_dir / "shots.log").write_text(format_shot_log(shots), encoding="utf-8")
     (out_dir / "cloud.ply").write_bytes(export_ply(cloud))
     (out_dir / "report.txt").write_text(
         format_report(report, len(cloud), len(scene)), encoding="utf-8"
     )
     (out_dir / "manifest.txt").write_text(manifest_lines(values), encoding="utf-8")
-    print(f"scan complete: {len(pairs)} captures, {len(cloud)} points -> {out_dir}")
+    print(f"scan complete: {len(panels)} captures, {len(cloud)} points -> {out_dir}")
     return EXIT_OK
 
 

@@ -22,6 +22,9 @@ __all__ = [
     "import_ply",
 ]
 
+_PLY_ROW = "%.6g %.6g %.6g %.6g\n"
+# export formats this many rows at a time, so its Python floats and strings stay small
+_PLY_CHUNK_ROWS = 8192
 _PLY_HEADER = (
     "ply\n"
     "format ascii 1.0\n"
@@ -223,8 +226,9 @@ def format_report(report: AccuracyReport, cloud_points: int, scene_points: int) 
 def export_ply(cloud: PointCloud) -> bytes:
     """ASCII PLY 1.0, coordinates in meters, 6 significant digits, LF endings."""
     rows = np.column_stack([cloud.xyz / 1000.0, cloud.intensity])
-    body = ("%.6g %.6g %.6g %.6g\n" * len(cloud)) % tuple(rows.ravel().tolist())
-    return (_PLY_HEADER.format(n=len(cloud)) + body).encode("ascii")
+    blocks = np.split(rows, range(_PLY_CHUNK_ROWS, len(rows), _PLY_CHUNK_ROWS))
+    body = [((_PLY_ROW * len(b)) % tuple(b.ravel().tolist())).encode("ascii") for b in blocks]
+    return b"".join([_PLY_HEADER.format(n=len(cloud)).encode("ascii"), *body])
 
 
 def import_ply(data: bytes) -> PointCloud:

@@ -30,12 +30,10 @@ __all__ = [
     "pulses_for_rotation",
     "pwm_timing",
     "apply_command",
-    "full_turn_done",
     "calibrate_scale",
 ]
 
 FULL_TURN_DEG = 360.0
-_FULL_TURN_TOL = 1e-9
 
 
 class CalibrationError(ValueError):
@@ -205,11 +203,6 @@ def apply_command(
         cumulative_rotation_deg=state.cumulative_rotation_deg + displacement,
         saturated=False,
     )
-
-
-def full_turn_done(state: RigState) -> bool:
-    """True once the base has swept at least one full turn."""
-    return state.cumulative_rotation_deg >= FULL_TURN_DEG - _FULL_TURN_TOL
 
 
 def calibrate_scale(commanded_mm, measured_mm) -> float:

@@ -1,10 +1,10 @@
-"""The full scan: capture one turn, then reconstruct and score the cloud.
+"""The full scan: reconstruct each shot as it is captured, then score the cloud.
 
-:func:`scan` runs the rig to Done, matches each captured pair around the
-disparity its rangefinder reading predicts, triangulates and
-back-projects every matched pixel, merges the fragments and scores the
-cloud against the scene.  It does no I/O: ``stereorig scan`` loads the
-scene, calls it and writes the artifacts.
+:func:`scan` runs the rig to Done.  It matches each pair as it is captured
+around the disparity its rangefinder reading predicts, back-projects every
+matched pixel, keeps the 8-bit panels and drops the float pair, so one pair
+is alive at a time.  It merges the fragments and scores the cloud against
+the scene.  It does no I/O: ``stereorig scan`` writes the artifacts.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import numpy as np
 from .cloud import AccuracyReport, PointCloud, accuracy_report, merge
 from .config import RunConfig
 from .geometry import depth_resolution_mm
-from .planner import ShotRecord, run_scan
-from .scene import RangeReading, RigPose, Scene, StereoPair
+from .pgm import image_to_pgm_bytes
+from .planner import ShotRecord, capture
+from .scene import RangeReading, RigPose, Scene
 from .vision import back_project, compensation_shift, depth_map_from_disparity, match_correlation
 
 __all__ = ["scan"]
@@ -33,9 +34,11 @@ def _auto_match_radius(scene: Scene, shots, config: RunConfig, visible: np.ndarr
 
 def scan(
     config: RunConfig, scene: Scene
-) -> tuple[list[StereoPair], list[ShotRecord], PointCloud, AccuracyReport]:
-    """Capture a full turn of ``scene`` and reconstruct it; returns pairs, shots, cloud, report."""
-    pairs, shots = run_scan(
+) -> tuple[list[tuple[bytes, bytes]], list[ShotRecord], PointCloud, AccuracyReport]:
+    """Scan a turn of ``scene``; returns (left, right) PGM bytes, shots, cloud and report."""
+    panels, shots, fragments = [], [], []
+    visible = np.zeros(len(scene), dtype=bool)
+    for pair, shot in capture(
         scene,
         config.policy,
         config.calibration,
@@ -44,11 +47,7 @@ def scan(
         blob_radius_px=config.blob_radius_px,
         cone_half_angle_deg=config.cone_half_angle_deg,
         with_error=config.with_error,
-    )
-
-    fragments = []
-    visible = np.zeros(len(scene), dtype=bool)
-    for pair, shot in zip(pairs, shots):
+    ):
         shift = compensation_shift(
             RangeReading(shot.range_mm, config.cone_half_angle_deg),
             pair.baseline_mm,
@@ -60,8 +59,11 @@ def scan(
         depth = depth_map_from_disparity(disp, pair.baseline_mm, config.intrinsics)
         fragments.append(back_project(depth, RigPose(pair.heading_deg), intensities=pair.left))
         visible |= pair.visible_mask
+        panels.append((image_to_pgm_bytes(pair.left), image_to_pgm_bytes(pair.right)))
+        shots.append(shot)
+        del pair, disp, depth  # free the float planes before the next capture renders
 
     cloud = merge(fragments, voxel_mm=config.voxel_mm if config.voxel_mm > 0 else None)
     radius = config.match_radius_mm or _auto_match_radius(scene, shots, config, visible)
     report = accuracy_report(cloud, scene, radius, visible_mask=visible)
-    return pairs, shots, cloud, report
+    return panels, shots, cloud, report

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .cloud import _fmt
@@ -43,12 +44,13 @@ __all__ = [
     "turn_pulses",
     "new_controller",
     "step",
+    "capture",
     "run_scan",
     "format_shot_log",
     "MAX_CAPTURES_PER_TURN",
 ]
 
-# a scan renders and keeps one stereo pair per schedule entry
+# a scan renders one stereo pair and keeps its 8-bit panels per schedule entry
 MAX_CAPTURES_PER_TURN = 360
 
 
@@ -280,7 +282,7 @@ def step(
     return next_controller, rig, None
 
 
-def run_scan(
+def capture(
     scene: Scene,
     policy: CapturePolicy,
     cal: ActuationCalibration,
@@ -289,8 +291,8 @@ def run_scan(
     blob_radius_px: float = 2.0,
     cone_half_angle_deg: float = 20.0,
     with_error: bool = False,
-) -> tuple[list[StereoPair], list[ShotRecord]]:
-    """Drive the controller to Done; returns captures in heading order.
+) -> Iterator[tuple[StereoPair, ShotRecord]]:
+    """Drive the controller to Done, yielding each capture and its record as it happens.
 
     The rig starts at ``initial_baseline_mm`` clamped to the policy limits.
     """
@@ -300,7 +302,6 @@ def run_scan(
         baseline_min_mm=policy.baseline_min_mm,
         baseline_max_mm=policy.baseline_max_mm,
     )
-    pairs: list[StereoPair] = []
     while controller.state is not ScanState.DONE:
         controller, rig, artifact = step(
             controller,
@@ -313,8 +314,14 @@ def run_scan(
             with_error=with_error,
         )
         if artifact is not None:
-            pairs.append(artifact)
-    return pairs, list(controller.shots)
+            yield artifact, controller.shots[-1]
+            del artifact  # keep no pair once it is yielded, whatever step comes next
+
+
+def run_scan(*args, **kwargs) -> tuple[list[StereoPair], list[ShotRecord]]:
+    """Every pair and record of :func:`capture`, which takes the same arguments."""
+    pairs, shots = zip(*capture(*args, **kwargs))
+    return list(pairs), list(shots)
 
 
 def format_shot_log(shots) -> str:

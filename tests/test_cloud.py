@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stereorig.cloud import PointCloud, accuracy_report, export_ply, import_ply, merge
+from stereorig.cloud import (
+    _PLY_CHUNK_ROWS,
+    PointCloud,
+    accuracy_report,
+    export_ply,
+    import_ply,
+    merge,
+)
 from stereorig.scene import Scene, load_scene
 
 
@@ -121,6 +128,17 @@ def test_export_single_point_line():
     for (*xyz, intensity), line in cases:
         cloud = make_cloud([xyz], intensity=np.array([intensity]))
         assert export_ply(cloud).split(b"end_header\n", 1)[1] == line
+
+
+@pytest.mark.parametrize("n", [0, 1, _PLY_CHUNK_ROWS, _PLY_CHUNK_ROWS + 1, 2 * _PLY_CHUNK_ROWS + 5])
+def test_export_in_chunks_matches_one_shot_format(n):
+    rng = np.random.default_rng(n)
+    cloud = make_cloud(rng.normal(scale=1500.0, size=(n, 3)), intensity=rng.random(n))
+    rows = np.column_stack([cloud.xyz / 1000.0, cloud.intensity])
+    body = ("%.6g %.6g %.6g %.6g\n" * n) % tuple(rows.ravel().tolist())
+    data = export_ply(cloud)
+    assert data.split(b"end_header\n", 1)[1] == body.encode("ascii")
+    assert data.startswith(b"ply\nformat ascii 1.0\nelement vertex %d\n" % n)
 
 
 def test_export_import_round_trip_bytes():

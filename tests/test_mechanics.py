@@ -15,7 +15,6 @@ from stereorig.mechanics import (
     RigState,
     apply_command,
     calibrate_scale,
-    full_turn_done,
     pulses_for_baseline_delta,
     pulses_for_rotation,
     pwm_timing,
@@ -138,12 +137,6 @@ def test_apply_rotation_tracks_cumulative_and_heading():
     out = apply_command(state, cmd, CAL)
     assert out.cumulative_rotation_deg == pytest.approx(400.0)
     assert out.heading_deg == pytest.approx(40.0)
-
-
-def test_full_turn_predicate():
-    assert full_turn_done(RigState(cumulative_rotation_deg=360.0))
-    assert not full_turn_done(RigState(cumulative_rotation_deg=355.0))
-    assert full_turn_done(RigState(cumulative_rotation_deg=400.0))
 
 
 def test_calibrate_scale_noiseless_three_percent():

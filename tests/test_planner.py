@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from stereorig.planner import (
     TargetDisparity,
     TargetRatio,
     baseline_setpoint,
+    capture,
     format_shot_log,
     new_controller,
     rotation_schedule,
@@ -123,6 +126,21 @@ def test_stepping_done_controller_raises():
         controller, rig, _ = step(controller, rig, scene, CAL, INTR)
     with pytest.raises(ScanStateError):
         step(controller, rig, scene, CAL, INTR)
+
+
+def test_capture_holds_one_pair_at_a_time():
+    scene = load_scene("room 4000 3000 2500 60 seed 5")
+    previous = None
+    shots = []
+    for pair, shot in capture(scene, POLICY, CAL, INTR):
+        gc.collect()
+        # once the caller has dropped a pair, nothing holds it while the next one renders
+        assert previous is None or previous() is None
+        previous = weakref.ref(pair)
+        shots.append(shot)
+        del pair
+    assert previous() is None
+    assert shots == run_scan(scene, POLICY, CAL, INTR)[1]
 
 
 def test_run_scan_capture_count_and_termination():
